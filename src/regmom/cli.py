@@ -1,6 +1,7 @@
 """Command-line front end: run scenarios, build references, compare, sweep tau.
 
-Exit codes: 0 success, 1 solver breakdown, 2 usage or configuration error.
+Exit codes: 0 success, 1 breakdown of either solver, 2 usage or configuration
+error; a steady search that reaches t_max exits 0 and reports it unconverged.
 A flat ``key = value`` config file can preset any flag; explicit flags win.
 """
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dvm, iteration, output, scenarios, solver
+from .state import UnphysicalStateError
 
 
 @dataclass
@@ -67,8 +69,8 @@ def _coerce(parser, dest, text):
 
 def cmd_run(args) -> int:
     scenario = _scenario_from_args(args)
-    tau_model = scenarios.TauModel(args.tau, omega=args.omega)
-    scenario.tau_model = tau_model
+    tau_model = (scenario.tau_model if args.tau is None
+                 else scenarios.TauModel(args.tau, omega=args.omega))
     cfg = solver.SolverConfig.from_scenario(
         scenario, order=args.order, n_cells=args.cells, cfl=args.cfl,
         closure=args.closure, diffusion=args.diffusion, tau_model=tau_model)
@@ -76,7 +78,7 @@ def cmd_run(args) -> int:
     manifest = RunManifest(
         scenario=args.scenario, kn=scenario.kn, mach=args.mach, order=args.order,
         dim=args.dim, n_cells=cfg.n_cells, cfl=args.cfl, closure=args.closure,
-        tau=args.tau, omega=args.omega, diffusion=args.diffusion)
+        tau=tau_model.kind, omega=args.omega, diffusion=args.diffusion)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -96,7 +98,7 @@ def cmd_run(args) -> int:
         "dt_history": {"min": state.dt_min, "max": state.dt_max,
                        "last": state.last_dt, "steps": state.steps},
         "max_speed": state.max_speed, "residual": state.residual,
-        "wall_time_s": wall,
+        "converged": state.converged, "wall_time_s": wall,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out / 'final.csv'} (t = {state.t:.6g}, {state.steps} steps)")
@@ -118,6 +120,9 @@ def cmd_make_ref(args) -> int:
         print(f"cached: {path}")
         return 0
     state, grid = dvm.dvm_run(scenario, cfg)
+    if not state.converged:
+        print(f"not converged: residual {state.residual:.3g} >= {cfg.steady_tol:g} "
+              f"at t = {state.t:.6g}", file=sys.stderr)
     output.write_columns(path, dvm.dvm_moments(state, grid))
     print(f"wrote {path} (t = {state.t:.6g}, {state.steps} steps)")
     return 0
@@ -172,7 +177,8 @@ def build_parser():
     common(p_run)
     p_run.add_argument("--M", dest="order", type=int, default=3, help="moment order")
     p_run.add_argument("--closure", default="linear", choices=("linear", "nonlinear"))
-    p_run.add_argument("--tau", default="kn-over-rho", choices=("kn-over-rho", "vhs"))
+    p_run.add_argument("--tau", default=None, choices=("kn-over-rho", "vhs"),
+                       help="relaxation-time model (default: the scenario's)")
     p_run.add_argument("--diffusion", default="auto",
                        choices=("auto", "explicit", "implicit"))
     p_run.add_argument("--dump-coeffs", action="store_true",
@@ -219,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
                                   sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except solver.SolverBreakdown as exc:
+    except (solver.SolverBreakdown, UnphysicalStateError) as exc:
         print(f"breakdown: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

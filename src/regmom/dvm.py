@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenarios import Scenario, TauModel
+from .scenarios import Scenario, TauModel, integrate
 from .state import UnphysicalStateError
 
 
@@ -54,7 +54,6 @@ class DVMConfig:
     boundary: str = "farfield"
     t_stop: float | None = None
     steady_tol: float | None = None
-    steady_interval: float = 1.0
     t_max: float = 400.0
 
     @classmethod
@@ -90,6 +89,7 @@ class DVMState:
     t: float = 0.0
     steps: int = 0
     residual: float = math.inf
+    converged: bool = False
 
 
 def discrete_maxwellian(grid: VelocityGrid, rho, u1, theta, dim: int,
@@ -105,7 +105,7 @@ def discrete_maxwellian(grid: VelocityGrid, rho, u1, theta, dim: int,
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     u1 = np.atleast_1d(np.asarray(u1, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
+    if np.any(~(rho > 0.0)) or np.any(~(theta > 0.0)):     # NaN fails the test
         raise UnphysicalStateError("discrete Maxwellian needs rho > 0, theta > 0")
     v = grid.v
     gm = np.subtract(v, u1[:, None], out=out_g)
@@ -255,23 +255,7 @@ def dvm_run(scenario: Scenario, cfg: DVMConfig) -> tuple[DVMState, VelocityGrid]
     state = make_dvm_state(scenario, cfg, grid)
     ghosts = None if cfg.boundary == "periodic" else _ghosts(cfg, scenario, grid)
     scratch = _Scratch(cfg.n_cells, cfg.n_v, cfg.dim)
-    eps = 1e-12
-    t_end = cfg.t_stop if cfg.t_stop is not None else cfg.t_max
-    check_t = state.t + cfg.steady_interval
-    prev_rho = state.g.sum(axis=1) * grid.dv
-    prev_t = state.t
-    while state.t < t_end - eps:
-        limit = t_end - state.t
-        if cfg.steady_tol is not None:
-            limit = min(limit, check_t - state.t)
-        dvm_step(state, cfg, grid, ghosts=ghosts, dt_limit=limit, scratch=scratch)
-        if cfg.steady_tol is not None and state.t >= check_t - eps:
-            rho = state.g.sum(axis=1) * grid.dv
-            span = state.t - prev_t
-            state.residual = float(np.abs(rho - prev_rho).sum() * state.dx / span)
-            if state.residual < cfg.steady_tol:
-                break
-            prev_rho = rho
-            prev_t = state.t
-            check_t = state.t + cfg.steady_interval
+    integrate(state, cfg, lambda limit: dvm_step(state, cfg, grid, ghosts=ghosts,
+                                                 dt_limit=limit, scratch=scratch),
+              lambda: state.g.sum(axis=1) * grid.dv)
     return state, grid

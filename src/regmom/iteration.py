@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .indices import MomentLayout, pad_zero
+from .state import sigma_q1
 
 
 def fd4(values: np.ndarray, dx: float) -> np.ndarray:
@@ -90,20 +91,6 @@ def maxwellian_iteration_state(sample: FieldSample, max_order: int = 10) -> Iter
     return IterationState(layout=layout, coeffs=coeffs, n=0)
 
 
-def _sigma_q_lon(layout: MomentLayout, coeffs: np.ndarray):
-    """sigma_{i1} (n, D) and q_1 of a coefficient grid field."""
-    D = layout.dim
-    sig = np.empty(coeffs.shape[:-1] + (D,))
-    for i in range(D):
-        a = tuple((j == i) + (j == 0) for j in range(D))
-        sig[..., i] = (2.0 if i == 0 else 1.0) * coeffs[..., layout.ordinal(a)]
-    q1 = 2.0 * coeffs[..., layout.ordinal(tuple(3 * (j == 0) for j in range(D)))]
-    for d in range(D):
-        a = tuple(2 * (j == d) + (j == 0) for j in range(D))
-        q1 = q1 + coeffs[..., layout.ordinal(a)]
-    return sig, q1
-
-
 def time_derivative_fields(state: IterationState, sample: FieldSample):
     """du/dt and dtheta/dt from the conservation laws on the current sweep.
 
@@ -115,9 +102,9 @@ def time_derivative_fields(state: IterationState, sample: FieldSample):
     D = lay.dim
     rho, theta = sample.rho, sample.theta
     u1 = sample.u[:, 0]
-    sig, _ = _sigma_q_lon(lay, state.coeffs)
+    sig, _ = sigma_q1(lay, state.coeffs)
     fx = fd4(state.coeffs, sample.dx)
-    sig_x, q1_x = _sigma_q_lon(lay, fx)
+    sig_x, q1_x = sigma_q1(lay, fx)
     p_x = sample.rho_x * theta + rho * sample.theta_x
     dudt = np.empty_like(sample.u)
     for i in range(D):
@@ -272,7 +259,7 @@ def nsf_check(field: ManufacturedField, tau: float, sweeps: int = 2,
     """
     sample = field.sample(grid_n)
     state = run_iteration(sample, tau, sweeps, max_order)
-    sig, q1 = _sigma_q_lon(state.layout, state.coeffs)
+    sig, q1 = sigma_q1(state.layout, state.coeffs)
     D = field.dim
     mu = tau * sample.rho * sample.theta
     sig_ref = np.empty_like(sig)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import sigma11_q1
+from .state import sigma_q1
 
 SNAPSHOT_COLUMNS = ("x", "rho", "u1", "theta", "sigma11", "q1")
 
@@ -35,10 +35,10 @@ def write_columns(path, columns: dict[str, np.ndarray]) -> None:
 
 def snapshot_columns(state, dump_coeffs: bool = False) -> dict[str, np.ndarray]:
     """Snapshot of a moment SimState (solver) as named columns."""
-    sig, q1 = sigma11_q1(state.layout, state.coeffs)
+    sig, q1 = sigma_q1(state.layout, state.coeffs)
     cols = {
         "x": state.x, "rho": state.rho, "u1": state.u[:, 0],
-        "theta": state.theta, "sigma11": sig, "q1": q1,
+        "theta": state.theta, "sigma11": sig[:, 0], "q1": q1,
     }
     if dump_coeffs:
         for k in range(state.layout.size):

@@ -10,6 +10,7 @@ dimensions):
     to a steady profile.
 
 Scenarios can also be loaded from flat ``key = value`` text files.
+``integrate`` applies a scenario's stop rule for both solvers.
 """
 from __future__ import annotations
 
@@ -64,6 +65,44 @@ class Scenario:
     t_max: float = 400.0
     default_cells: int = 200
     far_fields: tuple | None = None             # ((rho,u vec,theta), (rho,u vec,theta))
+
+
+STEADY_INTERVAL = 1.0    # time between the density checkpoints of a steady search
+
+
+def integrate(state, cfg, advance: Callable[[float], float],
+              density: Callable[[], np.ndarray]):
+    """Advance ``state`` to ``cfg.t_stop``, or until its density is steady.
+
+    ``advance(dt_limit)`` takes one step of at most ``dt_limit``; ``density()``
+    returns the cell densities.  With ``cfg.steady_tol`` set, the run stops once
+    ``state.residual``, their L1 change per unit time between checkpoints
+    STEADY_INTERVAL apart, falls below it; a search without t_stop that reaches
+    t_max sets ``state.converged`` False.
+    """
+    eps = 1e-12
+    steady = cfg.steady_tol is not None
+    t_end = cfg.t_stop if cfg.t_stop is not None else cfg.t_max
+    state.converged = not steady or cfg.t_stop is not None
+    check_t = state.t + STEADY_INTERVAL
+    prev_rho = density().copy()
+    prev_t = state.t
+    while state.t < t_end - eps:
+        limit = t_end - state.t
+        if steady:
+            limit = min(limit, check_t - state.t)
+        advance(limit)
+        if steady and state.t >= check_t - eps:
+            rho = density()
+            span = state.t - prev_t
+            state.residual = float(np.abs(rho - prev_rho).sum() * state.dx / span)
+            if state.residual < cfg.steady_tol:
+                state.converged = True
+                break
+            prev_rho = rho.copy()
+            prev_t = state.t
+            check_t = state.t + STEADY_INTERVAL
+    return state
 
 
 def shock_tube(kn: float = 0.02, dim: int = 3) -> Scenario:

@@ -36,8 +36,8 @@ One time step is a Lie splitting of three substeps:
 
 The explicit time step is dt = CFL * min(dx / max wavespeed,
 dx^2 / (2 max (M+1) tau theta)); the implicit mode drops the second bound.
-Breakdown (non-positive density or temperature after recovery) raises, with
-the offending cell and time; no limiter masks it.
+Breakdown (non-positive or NaN density or temperature after recovery)
+raises, with the offending cell and time; no limiter masks it.
 """
 from __future__ import annotations
 
@@ -49,9 +49,9 @@ import numpy as np
 from .hermite import hermite_roots
 from .indices import MomentLayout, pad_zero
 from .closure import TopOrderClosure
-from .scenarios import Scenario, TauModel
+from .scenarios import Scenario, TauModel, integrate
 from .state import (UnphysicalStateError, conserved_from_coeffs, enforce_constraints,
-                    macro_from_conserved, project_coeffs, sigma11_q1)
+                    macro_from_conserved, project_coeffs, sigma_q1)
 
 
 class SolverBreakdown(RuntimeError):
@@ -80,7 +80,6 @@ class SolverConfig:
     diffusion: str = "auto"        # "explicit" | "implicit" | "auto"
     t_stop: float | None = None
     steady_tol: float | None = None
-    steady_interval: float = 1.0
     t_max: float = 400.0
     ghost_left: tuple | None = None    # (rho, u vec, theta)
     ghost_right: tuple | None = None
@@ -121,6 +120,7 @@ class SimState:
     """Per-cell frames and coefficients on a uniform mesh, plus diagnostics."""
 
     layout: MomentLayout
+    top: TopOrderClosure     # closure tables of the layout's top order
     x: np.ndarray
     dx: float
     rho: np.ndarray      # (n,)
@@ -134,6 +134,7 @@ class SimState:
     dt_max: float = 0.0
     max_speed: float = 0.0
     residual: float = math.inf
+    converged: bool = False
     boundary_account: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     def conserved_totals(self) -> np.ndarray:
@@ -158,8 +159,8 @@ def make_state(scenario: Scenario, cfg: SolverConfig) -> SimState:
     theta = np.asarray(scenario.theta0(x), dtype=float)
     coeffs = np.zeros((n, layout.size))
     coeffs[:, 0] = rho
-    state = SimState(layout=layout, x=x, dx=dx, rho=rho, u=u, theta=theta,
-                     coeffs=coeffs)
+    state = SimState(layout=layout, top=TopOrderClosure(layout), x=x, dx=dx,
+                     rho=rho, u=u, theta=theta, coeffs=coeffs)
     state.boundary_account = np.zeros(cfg.dim + 2)
     return state
 
@@ -256,7 +257,7 @@ def _regularize(cfg: SolverConfig, layout: MomentLayout, top: TopOrderClosure,
         p_e = rho_e * th_e
         p_x = (p_e[1:] - p_e[:-1]) / dx
         co_f = 0.5 * (co_e[:-1] + co_e[1:])
-        sig_cells, q1_cells = _sigma_d1_q1(layout, co_e)
+        sig_cells, q1_cells = sigma_q1(layout, co_e)
         sig_f = 0.5 * (sig_cells[:-1] + sig_cells[1:])
         q1_f = 0.5 * (q1_cells[:-1] + q1_cells[1:])
         c_full = top.nonlinear(rho_f, th_f, tau_f, p_x, pad_zero(co_f), dfdx_p,
@@ -290,17 +291,6 @@ def _regularize(cfg: SolverConfig, layout: MomentLayout, top: TopOrderClosure,
             # far-field ghosts hold equilibrium: Dirichlet zero on |alpha| = M
             sol = _solve_banded_tridiag(lower, diag, upper, rhs)
         coeffs[:, cols] = sol
-
-
-def _sigma_d1_q1(layout: MomentLayout, coeffs: np.ndarray):
-    """(sigma_{d1})_d and q_1 per row of a coefficient array."""
-    D = layout.dim
-    sig = np.empty(coeffs.shape[:-1] + (D,))
-    for d in range(D):
-        a = tuple((j == d) + (j == 0) for j in range(D))
-        sig[..., d] = (2.0 if d == 0 else 1.0) * coeffs[..., layout.ordinal(a)]
-    _, q1 = sigma11_q1(layout, coeffs)
-    return sig, q1
 
 
 def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> float:
@@ -353,11 +343,11 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     rho_new, mom, energy = conserved_from_coeffs(lay, state.coeffs, state.u,
                                                  state.theta)
     internal = energy - 0.5 * (mom * mom).sum(axis=1) / rho_new
-    bad = (rho_new <= 0.0) | (internal <= 0.0)
+    bad = ~(rho_new > 0.0) | ~(internal > 0.0)     # NaN counts as bad
     if bad.any():
         cell = int(np.argmax(bad))
-        raise SolverBreakdown("negative density or temperature after transport",
-                              cell, state.t)
+        raise SolverBreakdown("non-positive or NaN density or temperature after "
+                              "transport", cell, state.t)
     u_new, th_new = macro_from_conserved(rho_new, mom, energy, dim=D)
     state.coeffs = project_coeffs(lay, state.coeffs, u_new - state.u,
                                   th_new - state.theta)
@@ -366,8 +356,7 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
 
     # --- (b) top-order regularization -------------------------------------
     tau = np.asarray(cfg.tau_model.tau(cfg.kn, state.rho, state.theta), dtype=float)
-    top = _top_closure(lay)
-    _regularize(cfg, lay, top, dx, dt, explicit, state.rho, state.u, state.theta,
+    _regularize(cfg, lay, state.top, dx, dt, explicit, state.rho, state.u, state.theta,
                 tau, state.coeffs)
 
     # --- (c) trailing half of the relaxation --------------------------------
@@ -381,41 +370,7 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     return dt
 
 
-_TOP_CACHE: dict[tuple[int, int], TopOrderClosure] = {}
-
-
-def _top_closure(layout: MomentLayout) -> TopOrderClosure:
-    key = (layout.order, layout.dim)
-    top = _TOP_CACHE.get(key)
-    if top is None or top.layout is not layout:
-        top = TopOrderClosure(layout)
-        _TOP_CACHE[key] = top
-    return top
-
-
 def run(state: SimState, cfg: SolverConfig) -> SimState:
-    """Integrate to t_stop, or to a steady density profile, whichever applies.
-
-    The steady criterion is the L1 density change per unit time between
-    checkpoints spaced ``steady_interval`` apart, compared against
-    ``steady_tol``; ``t_max`` caps steady-state searches.
-    """
-    eps = 1e-12
-    t_end = cfg.t_stop if cfg.t_stop is not None else cfg.t_max
-    check_t = state.t + cfg.steady_interval
-    prev_rho = state.rho.copy()
-    prev_t = state.t
-    while state.t < t_end - eps:
-        limit = t_end - state.t
-        if cfg.steady_tol is not None:
-            limit = min(limit, check_t - state.t)
-        step(state, cfg, dt_limit=limit)
-        if cfg.steady_tol is not None and state.t >= check_t - eps:
-            span = state.t - prev_t
-            state.residual = float(np.abs(state.rho - prev_rho).sum() * state.dx / span)
-            if state.residual < cfg.steady_tol:
-                break
-            prev_rho = state.rho.copy()
-            prev_t = state.t
-            check_t = state.t + cfg.steady_interval
-    return state
+    """Integrate to t_stop, or to a steady density profile (``integrate``)."""
+    return integrate(state, cfg, lambda limit: step(state, cfg, dt_limit=limit),
+                     lambda: state.rho)

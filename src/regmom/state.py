@@ -107,11 +107,11 @@ def macro_from_conserved(rho, mom, energy, dim: int | None = None):
     rho = np.asarray(rho, dtype=float)
     energy = np.asarray(energy, dtype=float)
     D = mom.shape[-1] if dim is None else dim
-    if np.any(rho <= 0.0):
+    if np.any(~(rho > 0.0)):      # NaN fails the test
         raise UnphysicalStateError("non-positive density")
     u = mom / rho[..., None]
     internal = energy - 0.5 * (mom * mom).sum(axis=-1) / rho
-    if np.any(internal <= 0.0):
+    if np.any(~(internal > 0.0)):
         raise UnphysicalStateError("non-positive internal energy")
     theta = 2.0 * internal / (D * rho)
     if arrays:
@@ -145,10 +145,14 @@ def stress_heat(layout: MomentLayout, coeffs: np.ndarray, macro: MacroState) -> 
     return StressHeat(p=macro.rho * macro.theta, sigma=sigma, q=q)
 
 
-def sigma11_q1(layout: MomentLayout, coeffs: np.ndarray):
-    """(sigma_11, q_1) per cell, for snapshot output.  Needs order >= 3."""
+def sigma_q1(layout: MomentLayout, coeffs: np.ndarray):
+    """(sigma_d1 for d = 1..D as (..., D), q_1) per row: the x_1 column of
+    ``stress_heat`` without the full tensor.  Needs order >= 3."""
     D = layout.dim
-    sig = 2.0 * coeffs[..., layout.ordinal(tuple(2 if d == 0 else 0 for d in range(D)))]
+    sig = np.empty(coeffs.shape[:-1] + (D,))
+    for d in range(D):
+        a = tuple((j == d) + (j == 0) for j in range(D))
+        sig[..., d] = (2.0 if d == 0 else 1.0) * coeffs[..., layout.ordinal(a)]
     q = 2.0 * coeffs[..., layout.ordinal(tuple(3 if d == 0 else 0 for d in range(D)))]
     for d in range(D):
         a = tuple(2 * (j == d) + (j == 0) for j in range(D))

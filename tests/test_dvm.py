@@ -8,7 +8,7 @@ from regmom.dvm import (DVMConfig, DVMState, VelocityGrid, _conserved,
                         make_dvm_state, suggested_v_max, total_mass)
 from regmom.hermite import he_table
 from regmom.indices import MomentLayout
-from regmom.scenarios import Scenario, TauModel, shock_tube
+from regmom.scenarios import Scenario, TauModel, shock_structure, shock_tube
 from regmom.state import MacroState, UnphysicalStateError, enforce_constraints, stress_heat
 
 
@@ -68,6 +68,39 @@ def test_equilibrium_state_is_invariant():
     for _ in range(10):
         dvm_step(state, cfg, grid, ghosts=ghosts)
     assert np.abs(state.g - g0).max() < 1e-13 * g0.max()
+
+
+def test_nan_cell_raises_unphysical():
+    from regmom.dvm import _ghosts
+    sc = shock_tube()
+    cfg = DVMConfig.from_scenario(sc, n_cells=32, n_v=40, v_max=10.0)
+    grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
+    state = make_dvm_state(sc, cfg, grid)
+    state.g[10] = np.nan
+    with pytest.raises(UnphysicalStateError):
+        dvm_step(state, cfg, grid, ghosts=_ghosts(cfg, sc, grid))
+
+
+def test_steady_search_stops_on_uniform_state():
+    sc = shock_tube()
+    sc.rho0 = lambda x: np.full_like(np.asarray(x, float), 2.0)
+    sc.theta0 = lambda x: np.full_like(np.asarray(x, float), 1.2)
+    sc.far_fields = ((2.0, np.zeros(3), 1.2), (2.0, np.zeros(3), 1.2))
+    sc.t_stop, sc.steady_tol = None, 1e-8
+    cfg = DVMConfig.from_scenario(sc, n_cells=32, n_v=80, v_max=10.0, t_max=50.0)
+    state, _ = dvm_run(sc, cfg)
+    assert state.t < 2.0  # stopped by the residual at an early checkpoint
+    assert state.residual < 1e-8
+    assert state.converged
+
+
+def test_steady_search_reaching_t_max_is_not_converged():
+    sc = shock_structure(3.0)
+    cfg = DVMConfig.from_scenario(sc, n_cells=60, n_v=60, t_max=2.0)
+    state, _ = dvm_run(sc, cfg)
+    assert state.t == pytest.approx(2.0)
+    assert state.residual > cfg.steady_tol
+    assert not state.converged
 
 
 def test_free_transport_translates_bump():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,8 +95,45 @@ def test_cli_run_writes_outputs(tmp_path):
     assert data["x"].size == 32
     summary = json.loads((out / "summary.json").read_text())
     assert summary["breakdown"] is None
+    assert summary["converged"] is True
     assert summary["manifest"]["n_cells"] == 32
     assert summary["t"] == pytest.approx(0.3)
+
+
+def test_cli_run_default_tau_is_the_scenario_model(monkeypatch, tmp_path):
+    import regmom.cli as cli
+
+    used = []
+
+    def no_solve(state, cfg):
+        used.append(cfg.tau_model.kind)
+        return state
+
+    monkeypatch.setattr(cli.solver, "run", no_solve)
+    args = ["run", "--scenario", "shock-structure", "--mach", "2", "--cells", "16"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert used == ["vhs"] and summary["manifest"]["tau"] == "vhs"
+    # an explicit flag still replaces the scenario's model
+    assert main(args + ["--tau", "kn-over-rho", "--out", str(tmp_path / "b")]) == 0
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+    assert used[-1] == "kn-over-rho" and summary["manifest"]["tau"] == "kn-over-rho"
+
+
+def test_cli_reports_unconverged_steady_search(monkeypatch, tmp_path, capsys):
+    import regmom.cli as cli
+
+    run, dvm_run = cli.solver.run, cli.dvm.dvm_run
+    monkeypatch.setattr(cli.solver, "run",
+                        lambda state, cfg: run(state, replace(cfg, t_max=1.0)))
+    monkeypatch.setattr(cli.dvm, "dvm_run",
+                        lambda sc, cfg: dvm_run(sc, replace(cfg, t_max=1.0)))
+    args = ["--scenario", "shock-structure", "--mach", "2", "--cells", "32"]
+    assert main(["run", *args, "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert main(["make-ref", *args, "--nv", "40", "--out", str(tmp_path / "refs")]) == 0
+    assert "not converged" in capsys.readouterr().err
 
 
 def test_cli_coefficient_dump(tmp_path):
@@ -172,3 +210,22 @@ def test_cli_make_ref_caches(tmp_path):
     assert files[0].stat().st_mtime_ns == stamp
     data = read_csv(files[0])
     assert "rho" in data and data["x"].size == 64
+
+
+def test_cli_make_ref_breakdown_exit_code(monkeypatch, tmp_path, capsys):
+    import regmom.cli as cli
+
+    make = cli.dvm.make_dvm_state
+
+    def nan_cell(scenario, cfg, grid):
+        state = make(scenario, cfg, grid)
+        state.g[5] = np.nan
+        return state
+
+    monkeypatch.setattr(cli.dvm, "make_dvm_state", nan_cell)
+    refdir = tmp_path / "refs"
+    code = main(["make-ref", "--scenario", "shock-tube", "--kn", "0.3", "--cells", "16",
+                 "--nv", "40", "--vmax", "10", "--out", str(refdir)])
+    assert code == 1
+    assert "breakdown" in capsys.readouterr().err
+    assert not list(refdir.glob("*.csv"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from regmom.indices import MomentLayout
-from regmom.scenarios import Scenario, TauModel, shock_tube
+from regmom.scenarios import Scenario, TauModel, shock_structure, shock_tube
 from regmom.solver import (SimState, SolverBreakdown, SolverConfig,
                            flux_coefficients, make_state, run, step,
                            _solve_cyclic_tridiag)
@@ -207,6 +207,19 @@ def test_breakdown_reports_cell_and_time():
     assert err.value.time >= 0.0
 
 
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+def test_nan_cell_raises_breakdown(mode):
+    # NaN fails every positivity test, so it must not come back as a result
+    sc = shock_tube(kn=0.02)
+    cfg = SolverConfig.from_scenario(sc, order=3, n_cells=32, diffusion=mode)
+    state = make_state(sc, cfg)
+    state.rho[10] = state.coeffs[10, 0] = np.nan
+    with pytest.raises(SolverBreakdown) as err:
+        step(state, cfg)
+    assert err.value.cell in (9, 10, 11)
+    assert err.value.time == 0.0
+
+
 def test_steady_state_stop_on_uniform_state():
     sc = periodic_scenario()
     sc.rho0 = lambda x: np.full_like(np.asarray(x, float), 1.0)
@@ -219,6 +232,17 @@ def test_steady_state_stop_on_uniform_state():
     run(state, cfg)
     assert state.t < 10.0  # stopped by the residual, far before t_max
     assert state.residual < 1e-8
+    assert state.converged
+
+
+def test_steady_search_reaching_t_max_is_not_converged():
+    sc = shock_structure(3.0)
+    cfg = SolverConfig.from_scenario(sc, order=3, n_cells=60, t_max=3.0)
+    state = make_state(sc, cfg)
+    run(state, cfg)
+    assert state.t == pytest.approx(3.0)
+    assert state.residual > cfg.steady_tol
+    assert not state.converged
 
 
 def test_explicit_and_implicit_diffusion_agree_when_nonstiff():
@@ -254,7 +278,7 @@ def test_nsf_consistency_of_solver_stress():
     # first-order law with deviation shrinking ~4x under Kn halving.
     # Resolution scales as Kn^{3/2} so splitting (dt/tau)^2 and scheme
     # dissipation stay below the O(tau^2) signal being measured.
-    from regmom.state import sigma11_q1
+    from regmom.state import sigma_q1
 
     devs = []
     for kn in (2e-2, 1e-2, 5e-3):
@@ -265,7 +289,7 @@ def test_nsf_consistency_of_solver_stress():
         cfg = SolverConfig.from_scenario(sc, order=3, n_cells=cells)
         state = make_state(sc, cfg)
         run(state, cfg)
-        sig, _ = sigma11_q1(state.layout, state.coeffs)
+        sig = sigma_q1(state.layout, state.coeffs)[0][..., 0]
         tau = cfg.tau_model.tau(kn, state.rho, state.theta)
         dudx = np.gradient(state.u[:, 0], state.dx)
         sig_ref = -(4.0 / 3.0) * tau * state.rho * state.theta * dudx

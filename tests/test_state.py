@@ -7,7 +7,7 @@ from regmom.indices import MomentLayout
 from regmom.state import (MacroState, ProjectionConditionWarning, UnphysicalStateError,
                           conserved_from_coeffs, enforce_constraints,
                           macro_from_conserved, maxwellian_coeffs, project_coeffs,
-                          project_frame, reconstruct, sigma11_q1, stress_heat)
+                          project_frame, reconstruct, sigma_q1, stress_heat)
 
 from oracles import (coeff_by_projection, maxwellian_value, quad_stress_heat,
                      raw_moment)
@@ -108,11 +108,14 @@ def test_stress_heat_matches_quadrature(order, dim, seed):
     assert np.trace(sh.sigma) == pytest.approx(0.0, abs=1e-12 * scale)
 
 
-def test_sigma11_q1_matches_stress_heat():
-    lay, mac, coeffs = random_state(4, 3, seed=9)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sigma_q1_matches_stress_heat(dim):
+    lay, mac, coeffs = random_state(4, dim, seed=9)
     sh = stress_heat(lay, coeffs, mac)
-    sig, q1 = sigma11_q1(lay, coeffs)
-    assert sig == pytest.approx(sh.sigma[0, 0])
+    sig, q1 = sigma_q1(lay, coeffs)
+    assert sig.shape == (dim,)
+    for d in range(dim):
+        assert sig[d] == pytest.approx(sh.sigma[d, 0])
     assert q1 == pytest.approx(sh.q[0])
 
 
