@@ -1,12 +1,12 @@
 """Regularized Hermite moment method for the 1-D Boltzmann-BGK equation."""
 
-from .indices import MomentLayout, enumerate_indices, shift
+from .indices import AxisymmetricLayout, MomentLayout, enumerate_indices, shift
 from .state import MacroState, StressHeat, UnphysicalStateError
 from .scenarios import Scenario, TauModel, shock_structure, shock_tube
 from .solver import SimState, SolverBreakdown, SolverConfig
 
 __all__ = [
-    "MomentLayout", "enumerate_indices", "shift",
+    "AxisymmetricLayout", "MomentLayout", "enumerate_indices", "shift",
     "MacroState", "StressHeat", "UnphysicalStateError",
     "Scenario", "TauModel", "shock_tube", "shock_structure",
     "SimState", "SolverBreakdown", "SolverConfig",

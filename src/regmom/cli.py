@@ -116,16 +116,31 @@ def cmd_make_ref(args) -> int:
         tag += f"_m{args.mach:g}"
     tag += f"_nx{cfg.n_cells}_nv{cfg.n_v}"
     path = refdir / f"dvm_{tag}.csv"
+    record_path = path.with_suffix(".json")
     if path.exists() and not args.force:
         print(f"cached: {path}")
+        if not record_path.exists():
+            print(f"no run record: {record_path}", file=sys.stderr)
+        elif not (record := json.loads(record_path.read_text()))["converged"]:
+            print(_not_converged(record), file=sys.stderr)
         return 0
+    t0 = time.perf_counter()
     state, grid = dvm.dvm_run(scenario, cfg)
+    record = {"config": asdict(cfg), "t": state.t, "steps": state.steps,
+              "residual": state.residual, "converged": state.converged,
+              "wall_time_s": time.perf_counter() - t0}
     if not state.converged:
-        print(f"not converged: residual {state.residual:.3g} >= {cfg.steady_tol:g} "
-              f"at t = {state.t:.6g}", file=sys.stderr)
+        print(_not_converged(record), file=sys.stderr)
     output.write_columns(path, dvm.dvm_moments(state, grid))
+    record_path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path} (t = {state.t:.6g}, {state.steps} steps)")
     return 0
+
+
+def _not_converged(record: dict) -> str:
+    """The stderr line for a reference whose steady search reached t_max."""
+    return (f"not converged: residual {record['residual']:.3g} >= "
+            f"{record['config']['steady_tol']:g} at t = {record['t']:.6g}")
 
 
 def cmd_compare(args) -> int:

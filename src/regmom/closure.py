@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import MomentLayout
+from .indices import AxisymmetricLayout, MomentLayout
 from .state import MacroState, stress_heat
 
 
@@ -110,52 +110,43 @@ def nsf_limits(macro: MacroState, u_x: np.ndarray, theta_x: float, tau: float):
 
 
 class TopOrderClosure:
-    """Vectorized closure evaluation for the solver, one value per (cell/face, alpha).
+    """Vectorized closure on axisymmetric coefficients g[..., a, k], one value per
+    (cell/face, top entry (a, k) = (M - 2k, k)).
 
-    Enumerates the retained indices alpha with |alpha| = M; the closed index
-    is beta = alpha + e_1 (indices beta with beta_1 = 0 never enter the 1D
-    transport term).  Gather tables use the layout sentinel, so callers pass
-    coefficient arrays padded with one zero column.
+    The closed index is beta = alpha + e_1 (indices with beta_1 = 0 never enter
+    the 1D transport term).  Without transverse velocity sigma_d1 = 0 for d > 1,
+    and the transverse q-terms of D = 3 collapse by C(k-1, i-1) + C(k-1, i) =
+    C(k, i) into one read of g_(a,k-1) and g_(a+2,k-1), as for D = 2.
     """
 
-    def __init__(self, layout: MomentLayout):
+    def __init__(self, layout: AxisymmetricLayout):
         self.layout = layout
-        D = layout.dim
-        K = layout.size
-        sl = layout.grade(layout.order)
-        self.ords = np.arange(sl.start, sl.stop, dtype=np.intp)
-        alphas = [layout.unrank(k) for k in self.ords]
-        self.a1 = np.array([a[0] for a in alphas], dtype=np.intp)
-        self.transport_factor = (self.a1 + 1).astype(float)  # (alpha_1+1) in the flux
-        self.beta1_plus1 = (self.a1 + 2).astype(float)       # (beta_1+1) in the closure
+        self.a, self.k = layout.top_a, layout.top_k
+        self.transport_factor = (self.a + 1).astype(float)  # (alpha_1+1) in the flux
+        self.beta1_plus1 = (self.a + 2).astype(float)       # (beta_1+1) in the closure
 
-        def table(deltas):
-            out = np.full((D, len(alphas)), K, dtype=np.intp)
-            for d in range(D):
-                for t, a in enumerate(alphas):
-                    b = tuple(x + deltas(d, j) for j, x in enumerate(a))
-                    if all(c >= 0 for c in b) and layout.contains(b):
-                        out[d, t] = layout.ordinal(b)
-            return out
+    def _at(self, g, da: int, dk: int):
+        """g_(a+da, k+dk) at each top entry; 0 where an index is negative."""
+        a, k = self.a + da, self.k + dk
+        ok = (a >= 0) & (k >= 0)
+        out = np.zeros(g.shape[:-2] + (a.size,))
+        out[..., ok] = g[..., a[ok], k[ok]]
+        return out
 
-        # beta - e_d - e_1 = alpha - e_d; beta - 2e_d - e_1 = alpha - 2e_d;
-        # beta - 2e_d + e_1 = alpha + 2e_1 - 2e_d.
-        self.t_sig = table(lambda d, j: -(j == d))
-        self.t_qm = table(lambda d, j: -2 * (j == d))
-        self.t_qp = table(lambda d, j: 2 * (j == 0) - 2 * (j == d))
+    def linear(self, theta, tau, dfdx):
+        """-tau theta dg/dx at each top entry; dfdx (..., M+1, K)."""
+        return -(tau * theta)[..., None] * dfdx[..., self.a, self.k]
 
-    def linear(self, theta, tau, dfdx_pad):
-        """-tau theta df_alpha/dx for each top alpha; dfdx_pad (..., K+1)."""
-        return -(tau * theta)[..., None] * dfdx_pad[..., self.ords]
-
-    def nonlinear(self, rho, theta, tau, p_x, coeffs_pad, dfdx_pad, sigma_d1, q1):
-        """Full nonlinear closure; sigma_d1 (..., D) and q1 are local moments."""
+    def nonlinear(self, rho, theta, tau, p_x, g, dfdx, sigma11, q1):
+        """Full nonlinear closure; sigma11 and q1 are the local moments."""
         D = self.layout.dim
-        val = tau[..., None] * (p_x[..., None] / rho[..., None] * coeffs_pad[..., self.ords]
-                                - theta[..., None] * dfdx_pad[..., self.ords])
+        val = tau[..., None] * (p_x[..., None] / rho[..., None] * g[..., self.a, self.k]
+                                - theta[..., None] * dfdx[..., self.a, self.k])
         qfac = q1[..., None] / ((D + 2) * theta[..., None] * rho[..., None])
-        for d in range(D):
-            val += 0.5 * sigma_d1[..., d, None] * coeffs_pad[..., self.t_sig[d]] / rho[..., None]
-            val += qfac * (theta[..., None] * coeffs_pad[..., self.t_qm[d]]
-                           + self.beta1_plus1 * coeffs_pad[..., self.t_qp[d]])
+        val += 0.5 * sigma11[..., None] * self._at(g, -1, 0) / rho[..., None]
+        val += qfac * (theta[..., None] * self._at(g, -2, 0)
+                       + self.beta1_plus1 * g[..., self.a, self.k])
+        if D > 1:
+            val += qfac * (theta[..., None] * self._at(g, 0, -1)
+                           + self.beta1_plus1 * self._at(g, 2, -1))
         return val

@@ -234,6 +234,11 @@ def dvm_step(state: DVMState, cfg: DVMConfig, grid: VelocityGrid,
 
     if math.isfinite(cfg.kn):
         rho, u1, theta = _conserved(state, grid)
+        bad = ~(rho > 0.0) | ~(theta > 0.0)     # NaN counts as bad
+        if bad.any():
+            raise UnphysicalStateError(
+                f"non-positive or NaN density or temperature after transport "
+                f"(cell {int(np.argmax(bad))}, t = {state.t:.6g})")
         tau = np.asarray(cfg.tau_model.tau(cfg.kn, rho, theta))
         gm, hm = discrete_maxwellian(grid, rho, u1, theta, state.dim,
                                      out_g=scratch.gm, out_h=scratch.hm)

@@ -3,9 +3,9 @@
 A moment set of order M in D velocity dimensions holds one coefficient per
 multi-index alpha in N^D with |alpha| <= M.  Indices are stored in graded
 lexicographic order: all indices of order n precede those of order n+1, and
-within one order they are sorted lexicographically as tuples.  This keeps
-every order contiguous, which the closure and the top-order diffusion rely
-on.
+within one order they are sorted lexicographically as tuples, so every order
+is contiguous.  The full layout serves the Maxwell iteration and the tests;
+the moment solver stores the reduced AxisymmetricLayout.
 """
 from __future__ import annotations
 
@@ -111,6 +111,29 @@ class MomentLayout:
     def unit(self, axis: int) -> tuple[int, ...]:
         """e_axis as a tuple (axis is 1-based)."""
         return tuple(1 if d == axis - 1 else 0 for d in range(self.dim))
+
+
+class AxisymmetricLayout:
+    """Coefficients g[a, k] of a distribution axisymmetric about the x_1 axis.
+
+    With zero transverse velocity the full-layout coefficients are
+    f_(a,2i,2j) = C(i+j, i) g_(a,i+j) for D = 3, f_(a,2k) = g_(a,k) for D = 2
+    and f_a = g_(a,0) for D = 1; every one with an odd transverse index is 0.
+    g is dense with ``shape`` (order+1, order//2+1), or (order+1, 1) for D = 1,
+    and zero where the grade a + 2k exceeds the order, so every shift in a or
+    k is an array slice.  (top_a, top_k) are the entries of grade ``order``.
+    """
+
+    def __init__(self, order: int, dim: int):
+        if not 1 <= dim <= MAX_DIM:
+            raise ValueError(f"dim must be in 1..{MAX_DIM}, got {dim}")
+        self.order, self.dim = order, dim
+        self.shape = (order + 1, order // 2 + 1 if dim > 1 else 1)
+        a, k = np.indices(self.shape)
+        self.grades = a + 2 * k
+        self.mask = (self.grades <= order).astype(float)
+        self.top_k = np.arange(self.shape[1])
+        self.top_a = order - 2 * self.top_k
 
 
 def count(order: int, dim: int) -> int:

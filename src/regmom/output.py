@@ -4,7 +4,8 @@ The interchange format is plain ASCII CSV: a header row, comma separators,
 values printed with 17 significant digits so identical runs produce
 byte-identical files.  Snapshot columns are
 
-    x, rho, u1, theta, sigma11, q1 [, f0, f1, ... one column per ordinal]
+    x, rho, u1, theta, sigma11, q1 [, g0_0, g0_1, ... one column g<a>_<k> per
+                                    axisymmetric coefficient with a + 2k <= M]
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import sigma_q1
+from .state import sigma11_q1
 
 SNAPSHOT_COLUMNS = ("x", "rho", "u1", "theta", "sigma11", "q1")
 
@@ -35,14 +36,14 @@ def write_columns(path, columns: dict[str, np.ndarray]) -> None:
 
 def snapshot_columns(state, dump_coeffs: bool = False) -> dict[str, np.ndarray]:
     """Snapshot of a moment SimState (solver) as named columns."""
-    sig, q1 = sigma_q1(state.layout, state.coeffs)
+    sig11, q1 = sigma11_q1(state.layout, state.coeffs)
     cols = {
         "x": state.x, "rho": state.rho, "u1": state.u[:, 0],
-        "theta": state.theta, "sigma11": sig[:, 0], "q1": q1,
+        "theta": state.theta, "sigma11": sig11, "q1": q1,
     }
     if dump_coeffs:
-        for k in range(state.layout.size):
-            cols[f"f{k}"] = state.coeffs[:, k]
+        for a, k in zip(*np.nonzero(state.layout.mask)):
+            cols[f"g{a}_{k}"] = state.coeffs[:, a, k]
     return cols
 
 

@@ -5,9 +5,10 @@ One time step is a Lie splitting of three substeps:
   (a) hyperbolic transport.  In a frame with fixed (u, theta) the moment
       system is conservative with per-coefficient flux
 
-          F_alpha = theta f_{alpha-e_1} + u_1 f_alpha + (alpha_1+1) f_{alpha+e_1},
+          F_(a,k) = theta g_(a-1,k) + u_1 g_(a,k) + (a+1) g_(a+1,k),
 
-      the coefficient ladder of multiplication by xi_1.  At each interface
+      the coefficient ladder of multiplication by xi_1 on the axisymmetric
+      coefficients g[cell, a, k] (indices.AxisymmetricLayout).  At each interface
       both neighbor states are re-expanded in the shared arithmetic-mean
       frame, a local Lax-Friedrichs flux is formed with wavespeed bound
       |u_1| + c_{M+1} sqrt(theta) (c_{M+1} the largest Hermite root), and the
@@ -17,17 +18,17 @@ One time step is a Lie splitting of three substeps:
       frame is moved to match the new conserved moments.
 
   (b) top-order regularization.  The closure value for the order-(M+1)
-      coefficients enters only through (alpha_1+1) d f_{alpha+e_1} / dx on
-      the top retained order; with the linear closure this is a diffusion
-      with coefficient (alpha_1+1) tau theta per coefficient.  The stiff
+      coefficients enters only through (a+1) d g_(a+1,k) / dx on the top
+      retained grade a + 2k = M; with the linear closure this is a diffusion
+      with coefficient (a+1) tau theta per coefficient.  The stiff
       diffusive core is integrated either explicitly (with the dt bound
       below) or by backward Euler ("implicit"); mode "auto" picks implicit
       whenever diffusion, not advection, would limit the explicit step.  The
       extra terms of the nonlinear closure are never stiff and are always
       explicit.
 
-  (c) BGK relaxation, exact in the local frame: every coefficient of order
-      >= 2 decays by exp(-dt/tau) in total; conserved moments are untouched.
+  (c) BGK relaxation, exact in the local frame: every coefficient of grade
+      a + 2k >= 2 decays by exp(-dt/tau) in total; conserved moments are untouched.
       The decay is applied as two half-steps bracketing the transport
       (a symmetrized placement): a trailing full decay biases the stress and
       heat flux low by dt/(2 tau) relative, which buries the O(tau^2)
@@ -47,11 +48,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermite import hermite_roots
-from .indices import MomentLayout, pad_zero
+from .indices import AxisymmetricLayout
+from .indices import pad_zero  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 from .closure import TopOrderClosure
 from .scenarios import Scenario, TauModel, integrate
 from .state import (UnphysicalStateError, conserved_from_coeffs, enforce_constraints,
-                    macro_from_conserved, project_coeffs, sigma_q1)
+                    macro_from_conserved, project_coeffs, sigma11_q1)
 
 
 class SolverBreakdown(RuntimeError):
@@ -119,14 +121,14 @@ class SolverConfig:
 class SimState:
     """Per-cell frames and coefficients on a uniform mesh, plus diagnostics."""
 
-    layout: MomentLayout
-    top: TopOrderClosure     # closure tables of the layout's top order
+    layout: AxisymmetricLayout
+    top: TopOrderClosure     # closure offsets of the layout's top grade
     x: np.ndarray
     dx: float
     rho: np.ndarray      # (n,)
     u: np.ndarray        # (n, D)
     theta: np.ndarray    # (n,)
-    coeffs: np.ndarray   # (n, K), local-frame expansion coefficients
+    coeffs: np.ndarray   # (n, M+1, K), local-frame axisymmetric coefficients g
     t: float = 0.0
     steps: int = 0
     last_dt: float = 0.0
@@ -150,48 +152,42 @@ class SimState:
 
 def make_state(scenario: Scenario, cfg: SolverConfig) -> SimState:
     """Equilibrium initial state: cell-centered macro fields, Maxwellian coefficients."""
-    layout = MomentLayout(cfg.order, cfg.dim)
+    layout = AxisymmetricLayout(cfg.order, cfg.dim)
     n = cfg.n_cells
     dx = (cfg.x_hi - cfg.x_lo) / n
     x = cfg.x_lo + (np.arange(n) + 0.5) * dx
     rho = np.asarray(scenario.rho0(x), dtype=float)
     u = np.asarray(scenario.u0(x), dtype=float).reshape(n, cfg.dim)
     theta = np.asarray(scenario.theta0(x), dtype=float)
-    coeffs = np.zeros((n, layout.size))
-    coeffs[:, 0] = rho
+    ghost_u = [np.asarray(gh[1])[1:] for gh in (cfg.ghost_left, cfg.ghost_right) if gh]
+    if np.any(u[:, 1:]) or any(np.any(v) for v in ghost_u):
+        raise ValueError("the axisymmetric layout needs zero transverse velocity "
+                         "in the initial field and in the ghost states")
+    coeffs = np.zeros((n,) + layout.shape)
+    coeffs[:, 0, 0] = rho
     state = SimState(layout=layout, top=TopOrderClosure(layout), x=x, dx=dx,
                      rho=rho, u=u, theta=theta, coeffs=coeffs)
     state.boundary_account = np.zeros(cfg.dim + 2)
     return state
 
 
-def flux_coefficients(layout: MomentLayout, coeffs: np.ndarray, u1, theta,
-                      top_values: np.ndarray | None = None) -> np.ndarray:
+def flux_coefficients(layout: AxisymmetricLayout, g: np.ndarray, u1, theta) -> np.ndarray:
     """Coefficient flux in a fixed frame (u1, theta).
 
-    Multiplication by xi_1 maps coefficients to
-    theta f_{alpha-e_1} + u_1 f_alpha + (alpha_1+1) f_{alpha+e_1}; the
-    order-(M+1) coefficients default to zero (Grad truncation) unless
-    ``top_values`` supplies them for the top retained order, aligned with the
-    |alpha| = M slice.
+    Multiplication by xi_1 maps g to
+    theta g_(a-1,k) + u_1 g_(a,k) + (a+1) g_(a+1,k); the grade-(M+1)
+    coefficients count as zero (Grad truncation).
     """
-    D = layout.dim
-    e1 = tuple(1 if j == 0 else 0 for j in range(D))
-    me1 = tuple(-c for c in e1)
-    fp = pad_zero(coeffs)
-    a1p1 = (layout.components[:, 0] + 1).astype(float)
-    u1 = np.asarray(u1, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    F = (theta[..., None] * fp[..., layout.shift_table(me1)[:-1]]
-         + u1[..., None] * coeffs
-         + a1p1 * fp[..., layout.shift_table(e1)[:-1]])
-    if top_values is not None:
-        sl = layout.grade(layout.order)
-        F[..., sl] += (layout.components[sl, 0] + 1) * top_values
+    u1 = np.asarray(u1, dtype=float)[..., None, None]
+    theta = np.asarray(theta, dtype=float)[..., None, None]
+    F = u1 * g
+    F[..., 1:, :] += theta * g[..., :-1, :]
+    F[..., :-1, :] += np.arange(1.0, layout.order + 1)[:, None] * g[..., 1:, :]
+    F *= layout.mask
     return F
 
 
-def _extend(cfg: SolverConfig, layout: MomentLayout, rho, u, theta, coeffs):
+def _extend(cfg: SolverConfig, rho, u, theta, coeffs):
     """State arrays with one ghost cell on each side."""
     if cfg.boundary == "periodic":
         sel_l, sel_r = -1, 0
@@ -201,16 +197,13 @@ def _extend(cfg: SolverConfig, layout: MomentLayout, rho, u, theta, coeffs):
         co_e = np.concatenate([coeffs[[sel_l]], coeffs, coeffs[[sel_r]]], axis=0)
         return rho_e, u_e, th_e, co_e
     gl, gr = cfg.ghost_left, cfg.ghost_right
-    K = layout.size
-    co_l = np.zeros((1, K))
-    co_l[0, 0] = gl[0]
-    co_r = np.zeros((1, K))
-    co_r[0, 0] = gr[0]
+    co_g = np.zeros((2,) + coeffs.shape[1:])
+    co_g[:, 0, 0] = gl[0], gr[0]
     rho_e = np.concatenate([[gl[0]], rho, [gr[0]]])
     u_e = np.concatenate([np.asarray(gl[1], dtype=float)[None, :], u,
                           np.asarray(gr[1], dtype=float)[None, :]], axis=0)
     th_e = np.concatenate([[gl[2]], theta, [gr[2]]])
-    co_e = np.concatenate([co_l, coeffs, co_r], axis=0)
+    co_e = np.concatenate([co_g[:1], coeffs, co_g[1:]], axis=0)
     return rho_e, u_e, th_e, co_e
 
 
@@ -241,63 +234,58 @@ def _solve_cyclic_tridiag(lower, diag, upper, corner_tr, corner_bl, rhs):
     return y - np.outer(z, np.atleast_1d(vy / (1.0 + vz))).reshape(y.shape)
 
 
-def _regularize(cfg: SolverConfig, layout: MomentLayout, top: TopOrderClosure,
+def _regularize(cfg: SolverConfig, layout: AxisymmetricLayout, top: TopOrderClosure,
                 dx: float, dt: float, explicit: bool,
                 rho, u, theta, tau, coeffs) -> None:
-    """Substep (b): apply the top-order closure as a flux on |alpha| = M."""
-    rho_e, u_e, th_e, co_e = _extend(cfg, layout, rho, u, theta, coeffs)
-    dfdx = (co_e[1:] - co_e[:-1]) / dx                      # (n+1, K) face gradients
-    dfdx_p = pad_zero(dfdx)
+    """Substep (b): apply the top-order closure as a flux on the grade a + 2k = M."""
+    rho_e, u_e, th_e, co_e = _extend(cfg, rho, u, theta, coeffs)
+    dfdx = (co_e[1:] - co_e[:-1]) / dx                      # (n+1, M+1, K) face gradients
     rho_f = 0.5 * (rho_e[:-1] + rho_e[1:])
     th_f = 0.5 * (th_e[:-1] + th_e[1:])
     tau_f = cfg.tau_model.tau(cfg.kn, rho_f, th_f)
 
-    c_lin = top.linear(th_f, tau_f, dfdx_p)                 # (n+1, n_top)
+    c_lin = top.linear(th_f, tau_f, dfdx)                   # (n+1, n_top)
     if cfg.closure == "nonlinear":
         p_e = rho_e * th_e
         p_x = (p_e[1:] - p_e[:-1]) / dx
         co_f = 0.5 * (co_e[:-1] + co_e[1:])
-        sig_cells, q1_cells = sigma_q1(layout, co_e)
+        sig_cells, q1_cells = sigma11_q1(layout, co_e)
         sig_f = 0.5 * (sig_cells[:-1] + sig_cells[1:])
         q1_f = 0.5 * (q1_cells[:-1] + q1_cells[1:])
-        c_full = top.nonlinear(rho_f, th_f, tau_f, p_x, pad_zero(co_f), dfdx_p,
-                               sig_f, q1_f)
+        c_full = top.nonlinear(rho_f, th_f, tau_f, p_x, co_f, dfdx, sig_f, q1_f)
     else:
         c_full = c_lin
 
-    sl = layout.grade(layout.order)
+    top_a, top_k = layout.top_a, layout.top_k
     if explicit:
-        coeffs[:, sl] -= dt / dx * top.transport_factor * (c_full[1:] - c_full[:-1])
+        coeffs[:, top_a, top_k] -= dt / dx * top.transport_factor * (c_full[1:] - c_full[:-1])
         return
 
     # Backward Euler on the diffusive core; the nonlinear remainder (if any)
     # is non-stiff and goes in explicitly first.
     if cfg.closure == "nonlinear":
         rest = c_full - c_lin
-        coeffs[:, sl] -= dt / dx * top.transport_factor * (rest[1:] - rest[:-1])
+        coeffs[:, top_a, top_k] -= dt / dx * top.transport_factor * (rest[1:] - rest[:-1])
     kappa_f = tau_f * th_f                                   # (n+1,)
-    n = coeffs.shape[0]
-    for a1 in np.unique(top.a1):
-        cols = top.ords[top.a1 == a1]
-        g = dt * (a1 + 1) / dx**2
+    for a, k in zip(top_a, top_k):
+        g = dt * (a + 1) / dx**2
         lower = -g * kappa_f[:-1]
         upper = -g * kappa_f[1:]
         diag = 1.0 + g * (kappa_f[:-1] + kappa_f[1:])
-        rhs = coeffs[:, cols]
+        rhs = coeffs[:, a, k]
         if cfg.boundary == "periodic":
             # ghost faces coincide: corner couplings close the ring
             sol = _solve_cyclic_tridiag(lower, diag, upper, lower[0], upper[-1], rhs)
         else:
-            # far-field ghosts hold equilibrium: Dirichlet zero on |alpha| = M
+            # far-field ghosts hold equilibrium: Dirichlet zero on the top grade
             sol = _solve_banded_tridiag(lower, diag, upper, rhs)
-        coeffs[:, cols] = sol
+        coeffs[:, a, k] = sol
 
 
 def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> float:
     """Advance the state by one time step in place; returns dt taken."""
     lay = state.layout
     D = lay.dim
-    n = state.rho.shape[0]
     dx = state.dx
 
     c_top = hermite_roots(cfg.order + 1)[-1]
@@ -313,30 +301,30 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     state.max_speed = float(lam.max())
 
     # --- (c) leading half of the relaxation --------------------------------
-    cols = lay.orders >= 2
+    cols = (lay.grades >= 2) & (lay.grades <= lay.order)
     state.coeffs[:, cols] *= np.exp(-0.5 * dt / tau)[:, None]
 
     # --- (a) hyperbolic transport in shared interface frames -------------
-    rho_e, u_e, th_e, co_e = _extend(cfg, lay, state.rho, state.u, state.theta,
-                                     state.coeffs)
+    rho_e, u_e, th_e, co_e = _extend(cfg, state.rho, state.u, state.theta, state.coeffs)
     u_f = 0.5 * (u_e[:-1] + u_e[1:])            # (n+1, D)
     th_f = 0.5 * (th_e[:-1] + th_e[1:])
-    gl = project_coeffs(lay, co_e[:-1], u_f - u_e[:-1], th_f - th_e[:-1])
-    gr = project_coeffs(lay, co_e[1:], u_f - u_e[1:], th_f - th_e[1:])
+    gl = project_coeffs(lay, co_e[:-1], u_f[:, 0] - u_e[:-1, 0], th_f - th_e[:-1])
+    gr = project_coeffs(lay, co_e[1:], u_f[:, 0] - u_e[1:, 0], th_f - th_e[1:])
     fl = flux_coefficients(lay, gl, u_f[:, 0], th_f)
     fr = flux_coefficients(lay, gr, u_f[:, 0], th_f)
     # substep (a) transports with the frozen interface-frame flux, a linear
     # system whose extreme characteristic speed is exactly this bound
     lam_f = np.abs(u_f[:, 0]) + c_top * np.sqrt(th_f)
-    phi = 0.5 * (fl + fr) - 0.5 * lam_f[:, None] * (gr - gl)
+    phi = 0.5 * (fl + fr) - 0.5 * lam_f[:, None, None] * (gr - gl)
 
     # conserved fluxes through the domain boundaries, for the books
     bm, bp, be = conserved_from_coeffs(lay, phi[[0, -1]], u_f[[0, -1]], th_f[[0, -1]])
     bflux = np.concatenate([bm[:, None], bp, be[:, None]], axis=1)  # (2, D+2)
     state.boundary_account += dt * (bflux[0] - bflux[1])
 
-    phi_r = project_coeffs(lay, phi[1:], state.u - u_f[1:], state.theta - th_f[1:])
-    phi_l = project_coeffs(lay, phi[:-1], state.u - u_f[:-1], state.theta - th_f[:-1])
+    phi_r = project_coeffs(lay, phi[1:], state.u[:, 0] - u_f[1:, 0], state.theta - th_f[1:])
+    phi_l = project_coeffs(lay, phi[:-1], state.u[:, 0] - u_f[:-1, 0],
+                           state.theta - th_f[:-1])
     state.coeffs -= dt / dx * (phi_r - phi_l)
 
     # --- conserved recovery and frame move --------------------------------
@@ -349,7 +337,7 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
         raise SolverBreakdown("non-positive or NaN density or temperature after "
                               "transport", cell, state.t)
     u_new, th_new = macro_from_conserved(rho_new, mom, energy, dim=D)
-    state.coeffs = project_coeffs(lay, state.coeffs, u_new - state.u,
+    state.coeffs = project_coeffs(lay, state.coeffs, u_new[:, 0] - state.u[:, 0],
                                   th_new - state.theta)
     enforce_constraints(lay, state.coeffs, rho_new)
     state.rho, state.u, state.theta = rho_new, u_new, th_new

@@ -5,30 +5,26 @@ over a MomentLayout.  The distribution it represents is
 
     f(xi) = sum_alpha f_alpha H_{theta,alpha}((xi - u)/sqrt(theta)).
 
-Low-order coefficients are pinned by the frame:  f_0 = rho, f_{e_i} = 0 and
-sum_d f_{2 e_d} = 0 whenever (u, theta) match the conserved moments of f.
+The moment solver's frames have zero transverse velocity; its functions here
+take the coefficients g[..., a, k] of an AxisymmetricLayout.  Low-order
+coefficients are pinned by the frame:  g_00 = rho, g_10 = 0 and
+g_20 + (D-1) g_01 = sum_d f_{2e_d} = 0 whenever (u, theta) match the conserved
+moments.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hermite import he_table
-from .indices import MomentLayout, pad_zero
+from .indices import AxisymmetricLayout, MomentLayout
+from .indices import pad_zero  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 
 
 class UnphysicalStateError(ValueError):
     """Conserved variables with no positive-(rho, theta) macro state."""
-
-
-class ProjectionConditionWarning(UserWarning):
-    """Frame projection into a much colder frame; truncation error grows."""
-
-
-PROJECTION_THETA_RATIO = 0.2
 
 
 @dataclass
@@ -41,7 +37,7 @@ class MacroState:
 
     def __post_init__(self):
         self.u = np.atleast_1d(np.asarray(self.u, dtype=float))
-        if self.rho <= 0.0 or self.theta <= 0.0:
+        if not (self.rho > 0.0 and self.theta > 0.0):      # NaN fails the test
             raise UnphysicalStateError(
                 f"need rho > 0 and theta > 0, got rho={self.rho}, theta={self.theta}")
 
@@ -74,27 +70,22 @@ def maxwellian_coeffs(macro: MacroState, layout: MomentLayout) -> np.ndarray:
     return coeffs
 
 
-def conserved_from_coeffs(layout: MomentLayout, coeffs: np.ndarray,
+def conserved_from_coeffs(layout: AxisymmetricLayout, g: np.ndarray,
                           u: np.ndarray, theta: np.ndarray):
-    """(rho, momentum, energy) of the expansion in frame (u, theta).
+    """(rho, momentum, energy) of the axisymmetric expansion in frame (u, theta).
 
     Exact linear functionals of the coefficients:
-        rho = f_0
-        m_d = u_d f_0 + f_{e_d}
-        E   = (|u|^2 f_0 + 2 sum_d u_d f_{e_d} + D theta f_0 + 2 sum_d f_{2e_d}) / 2
-    Vectorized: coeffs (..., K), u (..., D), theta (...).
+        rho = g_00
+        m   = u g_00 + g_10 e_1
+        E   = (|u|^2 g_00 + 2 u_1 g_10 + D theta g_00 + 2 (g_20 + (D-1) g_01)) / 2
+    Vectorized: g (..., M+1, K), u (..., D), theta (...).
     """
-    D = layout.dim
-    f0 = coeffs[..., 0]
-    fe = np.stack([coeffs[..., layout.ordinal(layout.unit(d + 1))] for d in range(D)],
-                  axis=-1)
-    f2e = sum(coeffs[..., layout.ordinal(tuple(2 if j == d else 0 for j in range(D)))]
-              for d in range(D))
-    rho = f0
-    mom = u * f0[..., None] + fe
-    energy = 0.5 * ((u * u).sum(axis=-1) * f0 + 2.0 * (u * fe).sum(axis=-1)
-                    + D * theta * f0 + 2.0 * f2e)
-    return rho, mom, energy
+    g00, g10 = g[..., 0, 0], g[..., 1, 0]
+    mom = u * g00[..., None]
+    mom[..., 0] += g10
+    energy = 0.5 * ((u * u).sum(axis=-1) * g00 + 2.0 * u[..., 0] * g10
+                    + layout.dim * theta * g00 + 2.0 * _trace(layout, g))
+    return g00, mom, energy
 
 
 def macro_from_conserved(rho, mom, energy, dim: int | None = None):
@@ -176,114 +167,71 @@ def reconstruct(layout: MomentLayout, coeffs: np.ndarray, macro: MacroState, xi)
     return float(total)
 
 
-def _frame_generator(layout: MomentLayout, g: np.ndarray, du: np.ndarray,
-                     dtheta: np.ndarray) -> np.ndarray:
-    """One application of the frame-change generator A to coefficients g.
+def project_coeffs(layout: AxisymmetricLayout, g: np.ndarray, du1, dtheta) -> np.ndarray:
+    """Re-expand coefficients g (..., M+1, K) in the frame shifted by (du1, dtheta).
 
-    (A g)_alpha = - sum_d du_d g_{alpha-e_d} - (dtheta/2) sum_d g_{alpha-2e_d}.
-    du (..., D), dtheta (...); g (..., K).  A raises the grade, so it is
-    nilpotent on the truncated set.
+    Holding the distribution fixed while the frame moves gives df/ds = A f
+    with A = -du1 S_a - (dtheta/2)(S_a^2 + S_k), S_a and S_k the unit shifts
+    in a and k.  The parts commute, so exp(A) is the series sum_m h_m S_a^m of
+    exp(-du1 z - dtheta z^2 / 2), with (m+1) h_{m+1} = -du1 h_m - dtheta h_{m-1},
+    then sum_l (-dtheta/2)^l / l! S_k^l.  Both raise the grade, so they stop at
+    the layout order; velocity moments of order <= M are preserved exactly.
     """
-    D = layout.dim
-    ge = pad_zero(g)
-    out = np.zeros_like(g)
-    for d in range(D):
-        e = tuple(-1 if j == d else 0 for j in range(D))
-        out -= du[..., d, None] * ge[..., layout.shift_table(e)[:-1]]
-        e2 = tuple(-2 if j == d else 0 for j in range(D))
-        out -= 0.5 * dtheta[..., None] * ge[..., layout.shift_table(e2)[:-1]]
-    return out
+    du1 = np.asarray(du1, dtype=float)[..., None, None]
+    dtheta = np.asarray(dtheta, dtype=float)[..., None, None]
+    out = g.copy()
+    h_prev, h = 1.0, -du1
+    for m in range(1, layout.order + 1):
+        out[..., m:, :] += h * g[..., :-m, :]
+        h_prev, h = h, (-du1 * h - dtheta * h_prev) / (m + 1)
+    acc = out.copy()
+    c = 1.0
+    for l in range(1, layout.shape[1]):
+        c = c * (-0.5 * dtheta) / l
+        acc[..., l:] += c * out[..., :-l]
+    acc *= layout.mask
+    return acc
 
 
-def project_coeffs(layout: MomentLayout, coeffs: np.ndarray, du: np.ndarray,
-                   dtheta: np.ndarray, method: str = "exact",
-                   steps: int = 20) -> np.ndarray:
-    """Re-expand coefficients in the frame shifted by (du, dtheta).
-
-    Holding the represented distribution fixed while the frame moves along a
-    straight path (u + s du, theta + s dtheta) makes the coefficients obey the
-    linear ODE  df/ds = A f  with the constant generator A of
-    ``_frame_generator``.  Velocity-space moments of order <= M of the
-    truncated expansion are preserved exactly.
-
-    method "exact" sums the nilpotent series exp(A) = sum_{k<=M} A^k / k!,
-    which is the closed-form solution; "rk4" integrates the same ODE with
-    ``steps`` classical Runge-Kutta steps (the two agree to roundoff for
-    M <= 4 and to O(steps^-4) otherwise).
-    """
-    du = np.asarray(du, dtype=float)
-    dtheta = np.asarray(dtheta, dtype=float)
-    if method == "exact":
-        acc = coeffs.copy()
-        g = coeffs
-        for k in range(1, layout.order + 1):
-            g = _frame_generator(layout, g, du, dtheta) / k
-            acc += g
-        return acc
-    if method == "rk4":
-        h = 1.0 / steps
-        y = coeffs.copy()
-        for _ in range(steps):
-            k1 = _frame_generator(layout, y, du, dtheta)
-            k2 = _frame_generator(layout, y + 0.5 * h * k1, du, dtheta)
-            k3 = _frame_generator(layout, y + 0.5 * h * k2, du, dtheta)
-            k4 = _frame_generator(layout, y + h * k3, du, dtheta)
-            y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return y
-    raise ValueError(f"unknown projection method {method!r}")
+def _trace(layout: AxisymmetricLayout, g: np.ndarray) -> np.ndarray:
+    """sum_d f_{2e_d} = g_20 + (D-1) g_01."""
+    if layout.dim == 1:
+        return g[..., 2, 0]
+    return g[..., 2, 0] + (layout.dim - 1) * g[..., 0, 1]
 
 
-def project_frame(layout: MomentLayout, coeffs: np.ndarray, src: MacroState,
-                  dst: MacroState, method: str = "exact", steps: int = 20) -> np.ndarray:
-    """Coefficients of the same truncated distribution in the frame of dst.
-
-    Target-frame coefficients above the layout order are discarded.  A target
-    temperature below PROJECTION_THETA_RATIO times the source temperature is
-    allowed but flagged, since the re-expansion of a narrow Gaussian in a much
-    wider basis loses accuracy beyond the matched moments.
-    """
-    if dst.theta <= 0.0:
-        raise UnphysicalStateError(f"target theta must be positive, got {dst.theta}")
-    if dst.theta / src.theta < PROJECTION_THETA_RATIO:
-        warnings.warn(
-            f"projection into a much colder frame (theta ratio "
-            f"{dst.theta / src.theta:.3g})", ProjectionConditionWarning, stacklevel=2)
-    du = dst.u - src.u
-    dtheta = np.asarray(dst.theta - src.theta, dtype=float)
-    return project_coeffs(layout, coeffs, du, dtheta, method=method, steps=steps)
+def sigma11_q1(layout: AxisymmetricLayout, g: np.ndarray):
+    """(sigma_11, q_1) per row: 2 g_20 and 3 g_30 + (D-1) g_11."""
+    q1 = 3.0 * g[..., 3, 0]
+    if layout.dim > 1:
+        q1 = q1 + (layout.dim - 1) * g[..., 1, 1]
+    return 2.0 * g[..., 2, 0], q1
 
 
-def constraint_residual(layout: MomentLayout, coeffs: np.ndarray, rho, theta):
-    """Largest violation of f_0 = rho, f_{e_i} = 0, sum_d f_{2e_d} = 0.
+def constraint_residual(layout: AxisymmetricLayout, g: np.ndarray, rho, theta):
+    """Largest violation of g_00 = rho, g_10 = 0, g_20 + (D-1) g_01 = 0.
 
     Scaled by rho theta^{|alpha|/2} per constraint order, so 1e-8 is a
     reasonable acceptance threshold for states produced by the solver.
     """
-    D = layout.dim
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    res = np.abs(coeffs[..., 0] - rho) / rho
-    for d in range(D):
-        res = np.maximum(res, np.abs(coeffs[..., layout.ordinal(layout.unit(d + 1))])
-                         / (rho * np.sqrt(theta)))
-    tr = sum(coeffs[..., layout.ordinal(tuple(2 * (j == d) for j in range(D)))]
-             for d in range(D))
-    res = np.maximum(res, np.abs(tr) / (rho * theta))
-    return res
+    res = np.abs(g[..., 0, 0] - rho) / rho
+    res = np.maximum(res, np.abs(g[..., 1, 0]) / (rho * np.sqrt(theta)))
+    return np.maximum(res, np.abs(_trace(layout, g)) / (rho * theta))
 
 
-def enforce_constraints(layout: MomentLayout, coeffs: np.ndarray, rho) -> np.ndarray:
-    """Pin f_0 = rho, f_{e_i} = 0 and remove the trace of f_{2e_d}, in place.
+def enforce_constraints(layout: AxisymmetricLayout, g: np.ndarray, rho) -> np.ndarray:
+    """Pin g_00 = rho, g_10 = 0 and remove the trace g_20 + (D-1) g_01, in place.
 
     After a projection into the conserved-matched frame these hold up to
-    roundoff; pinning them exactly prevents drift over many steps.
+    roundoff; pinning them exactly prevents drift over many steps.  Each
+    f_{2e_d} loses trace/D, so g_20 and g_01 do.
     """
-    D = layout.dim
-    coeffs[..., 0] = rho
-    for d in range(D):
-        coeffs[..., layout.ordinal(layout.unit(d + 1))] = 0.0
-    k2 = [layout.ordinal(tuple(2 * (j == d) for j in range(D))) for d in range(D)]
-    trace = sum(coeffs[..., k] for k in k2) / D
-    for k in k2:
-        coeffs[..., k] -= trace
-    return coeffs
+    g[..., 0, 0] = rho
+    g[..., 1, 0] = 0.0
+    part = _trace(layout, g) / layout.dim
+    g[..., 2, 0] -= part
+    if layout.dim > 1:
+        g[..., 0, 1] -= part
+    return g

@@ -18,6 +18,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from regmom.hermite import he_table
+from regmom.indices import MomentLayout
 
 
 def _tensor_nodes(dim, n_nodes):
@@ -121,3 +122,27 @@ def maxwellian_value(macro, xi):
     diff = xi - np.asarray(macro.u)
     return (macro.rho / (2.0 * math.pi * macro.theta) ** (D / 2.0)
             * math.exp(-0.5 * float(diff @ diff) / macro.theta))
+
+
+def enforce_constraints(layout, coeffs, rho):
+    """Full-layout constraint pinning, in place: f_0 = rho, f_{e_i} = 0, and the
+    trace of f_{2e_d} removed in equal parts."""
+    coeffs[..., 0] = rho
+    coeffs[..., layout.grade(1)] = 0.0
+    k2 = [layout.ordinal(tuple(2 * (j == d) for j in range(layout.dim)))
+          for d in range(layout.dim)]
+    coeffs[..., k2] -= coeffs[..., k2].sum(axis=-1, keepdims=True) / layout.dim
+    return coeffs
+
+
+def expand_full(axi, g):
+    """Full-layout coefficients (..., K) of axisymmetric coefficients g (..., M+1, K'):
+    f_(a,2i,2j) = C(i+j, i) g_(a,i+j), f_(a,2k) = g_(a,k), f_a = g_(a,0), and 0 at
+    every odd transverse index."""
+    layout = MomentLayout(axi.order, axi.dim)
+    f = np.zeros(g.shape[:-2] + (layout.size,))
+    for n, (a, *rest) in enumerate(layout.indices):
+        if not any(c % 2 for c in rest):
+            half = [c // 2 for c in rest]
+            f[..., n] = math.comb(sum(half), half[0] if half else 0) * g[..., a, sum(half)]
+    return layout, f

@@ -18,7 +18,7 @@ from regmom.iteration import (field_preset, magnitude_table, nsf_check,
 from regmom.output import compare_profiles, write_snapshot
 from regmom.scenarios import normalize_density, shock_structure, shock_tube
 from regmom.solver import SolverConfig, make_state, run
-from regmom.state import sigma_q1
+from regmom.state import sigma11_q1
 from regmom.iteration import fd4
 
 
@@ -205,8 +205,7 @@ def test_criterion_4_nsf_limit():
         cfg = SolverConfig.from_scenario(sc, order=3, n_cells=cells, cfl=0.5)
         state = make_state(sc, cfg)
         run(state, cfg)
-        sig, q1 = sigma_q1(state.layout, state.coeffs)
-        sig = sig[..., 0]
+        sig, q1 = sigma11_q1(state.layout, state.coeffs)
         tau = cfg.tau_model.tau(kn, state.rho, state.theta)
         mu = tau * state.rho * state.theta
         sig_ref = -(4.0 / 3.0) * mu * fd4(state.u[:, 0], state.dx)

@@ -5,8 +5,11 @@ import pytest
 
 from regmom.closure import (GradientData, TopOrderClosure, closure_linear,
                             closure_nonlinear, nsf_limits)
-from regmom.indices import MomentLayout, pad_zero
-from regmom.state import MacroState, enforce_constraints, stress_heat
+from regmom import state
+from regmom.indices import AxisymmetricLayout, MomentLayout
+from regmom.state import MacroState, stress_heat
+
+from oracles import enforce_constraints, expand_full
 
 
 def top_indices(order, dim):
@@ -190,26 +193,35 @@ def test_nsf_limits_prandtl_number_is_one():
 
 
 def test_top_order_closure_matches_pointwise():
-    # the vectorized face evaluation agrees with the pointwise API
-    order, dim = 4, 3
-    lay, mac, coeffs, grads = manufactured_point(order, dim, seed=21)
-    top = TopOrderClosure(lay)
-    sh = stress_heat(lay, coeffs, mac)
-    p_x = grads.rho_x * mac.theta + mac.rho * grads.theta_x
-    sig_d1 = sh.sigma[:, 0][None, :]
-    vals = top.nonlinear(np.array([mac.rho]), np.array([mac.theta]),
-                         np.array([0.17]), np.array([p_x]),
-                         pad_zero(coeffs[None, :]), pad_zero(grads.coeffs_x[None, :]),
-                         sig_d1, np.array([sh.q[0]]))
-    for t, k in enumerate(top.ords):
-        alpha = lay.unrank(k)
-        beta = (alpha[0] + 1,) + alpha[1:]
-        ref = closure_nonlinear(lay, beta, mac, coeffs, grads, 0.17)
-        assert vals[0, t] == pytest.approx(ref, rel=1e-12, abs=1e-15)
-    lin = top.linear(np.array([mac.theta]), np.array([0.17]),
-                     pad_zero(grads.coeffs_x[None, :]))
-    for t, k in enumerate(top.ords):
-        alpha = lay.unrank(k)
-        beta = (alpha[0] + 1,) + alpha[1:]
-        ref = closure_linear(lay, beta, mac.theta, 0.17, grads.coeffs_x)
-        assert lin[0, t] == pytest.approx(ref, rel=1e-13, abs=1e-16)
+    # the vectorized face evaluation on g agrees with the pointwise API on the
+    # full-layout expansion at every top index, odd transverse ones included:
+    # this checks the collapsed sums over d
+    for order, dim in ((4, 1), (5, 2), (4, 3), (5, 3)):
+        rng = np.random.default_rng(21 + order + dim)
+        lay = AxisymmetricLayout(order, dim)
+        u = np.zeros(dim)
+        u[0] = 0.3
+        mac = MacroState(rho=1.0 + rng.random(), u=u, theta=0.7 + rng.random())
+        g = state.enforce_constraints(lay, rng.normal(size=lay.shape) * 0.1 * lay.mask, mac.rho)
+        g_x = rng.normal(size=lay.shape) * 0.2 * lay.mask
+        full, f = expand_full(lay, g)
+        f_x = expand_full(lay, g_x)[1]
+        grads = GradientData(rho_x=rng.normal() * 0.5, u_x=np.zeros(dim),
+                             theta_x=rng.normal() * 0.5, coeffs_x=f_x)
+        top = TopOrderClosure(lay)
+        sh = stress_heat(full, f, mac)
+        p_x = grads.rho_x * mac.theta + mac.rho * grads.theta_x
+        vals = top.nonlinear(np.array([mac.rho]), np.array([mac.theta]), np.array([0.17]),
+                             np.array([p_x]), g[None], g_x[None],
+                             np.array([sh.sigma[0, 0]]), np.array([sh.q[0]]))
+        lin = top.linear(np.array([mac.theta]), np.array([0.17]), g_x[None])
+        on_top = np.zeros((2,) + lay.shape)
+        on_top[:, lay.top_a, lay.top_k] = vals[0], lin[0]
+        _, (vals_full, lin_full) = expand_full(lay, on_top)
+        for n in np.flatnonzero(full.orders == order):
+            alpha = full.unrank(n)
+            beta = (alpha[0] + 1,) + alpha[1:]
+            ref = closure_nonlinear(full, beta, mac, f, grads, 0.17)
+            assert vals_full[n] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            ref = closure_linear(full, beta, mac.theta, 0.17, grads.coeffs_x)
+            assert lin_full[n] == pytest.approx(ref, rel=1e-13, abs=1e-16)

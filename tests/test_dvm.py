@@ -9,7 +9,9 @@ from regmom.dvm import (DVMConfig, DVMState, VelocityGrid, _conserved,
 from regmom.hermite import he_table
 from regmom.indices import MomentLayout
 from regmom.scenarios import Scenario, TauModel, shock_structure, shock_tube
-from regmom.state import MacroState, UnphysicalStateError, enforce_constraints, stress_heat
+from regmom.state import MacroState, UnphysicalStateError, stress_heat
+
+from oracles import enforce_constraints
 
 
 def test_corrected_maxwellian_moments_exact():
@@ -79,6 +81,20 @@ def test_nan_cell_raises_unphysical():
     state.g[10] = np.nan
     with pytest.raises(UnphysicalStateError):
         dvm_step(state, cfg, grid, ghosts=_ghosts(cfg, sc, grid))
+
+
+def test_breakdown_names_first_bad_cell_and_time():
+    from regmom.dvm import _ghosts
+    sc = shock_tube()
+    cfg = DVMConfig.from_scenario(sc, n_cells=32, n_v=40, v_max=10.0)
+    grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
+    state = make_dvm_state(sc, cfg, grid)
+    ghosts = _ghosts(cfg, sc, grid)
+    dvm_step(state, cfg, grid, ghosts=ghosts)
+    t = state.t
+    state.g[12] = np.nan            # upwind transport spreads it to cells 11 and 13
+    with pytest.raises(UnphysicalStateError, match=f"cell 11, t = {t:.6g}"):
+        dvm_step(state, cfg, grid, ghosts=ghosts)
 
 
 def test_steady_search_stops_on_uniform_state():

@@ -142,8 +142,10 @@ def test_cli_coefficient_dump(tmp_path):
                  "--cells", "16", "--dump-coeffs", "--out", str(out)])
     assert code == 0
     data = read_csv(out / "final.csv")
-    assert "f0" in data and "f19" in data  # 20 ordinals at M=3, D=3
-    assert np.allclose(data["f0"], data["rho"])
+    # one column g<a>_<k> per axisymmetric coefficient with a + 2k <= 3
+    assert [c for c in data if c.startswith("g")] == [
+        "g0_0", "g0_1", "g1_0", "g1_1", "g2_0", "g3_0"]
+    assert np.allclose(data["g0_0"], data["rho"])
 
 
 def test_cli_determinism_byte_identical(tmp_path):
@@ -210,6 +212,27 @@ def test_cli_make_ref_caches(tmp_path):
     assert files[0].stat().st_mtime_ns == stamp
     data = read_csv(files[0])
     assert "rho" in data and data["x"].size == 64
+
+
+def test_cli_make_ref_cache_hit_reports_run_record(monkeypatch, tmp_path, capsys):
+    import regmom.cli as cli
+
+    dvm_run = cli.dvm.dvm_run
+    monkeypatch.setattr(cli.dvm, "dvm_run",
+                        lambda sc, cfg: dvm_run(sc, replace(cfg, t_max=1.0)))
+    refdir = tmp_path / "refs"
+    args = ["make-ref", "--scenario", "shock-structure", "--mach", "2", "--cells", "32",
+            "--nv", "40", "--out", str(refdir)]
+    assert main(args) == 0
+    first = capsys.readouterr().err
+    record = json.loads(next(refdir.glob("dvm_*.json")).read_text())
+    assert record["converged"] is False and record["steps"] > 0
+    assert record["t"] == pytest.approx(1.0) and record["config"]["n_v"] == 40
+    assert main(args) == 0          # cache hit: the stored line comes back
+    assert capsys.readouterr().err == first
+    next(refdir.glob("dvm_*.json")).unlink()
+    assert main(args) == 0
+    assert "no run record" in capsys.readouterr().err
 
 
 def test_cli_make_ref_breakdown_exit_code(monkeypatch, tmp_path, capsys):

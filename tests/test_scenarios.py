@@ -137,14 +137,12 @@ def test_parse_config(tmp_path):
 
 def test_scenario_initial_states_are_equilibrium():
     # Maxwellian initialization means zero stress and heat flux everywhere
-    from regmom.indices import MomentLayout
     from regmom.solver import SolverConfig, make_state
-    from regmom.state import sigma_q1
+    from regmom.state import sigma11_q1
 
     sc = shock_tube()
     cfg = SolverConfig.from_scenario(sc, order=3, n_cells=16)
     state = make_state(sc, cfg)
-    sig, q1 = sigma_q1(state.layout, state.coeffs)
-    sig = sig[..., 0]
+    sig, q1 = sigma11_q1(state.layout, state.coeffs)
     assert np.all(sig == 0.0) and np.all(q1 == 0.0)
-    assert np.all(state.coeffs[:, 0] == state.rho)
+    assert np.all(state.coeffs[:, 0, 0] == state.rho)

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from regmom.indices import MomentLayout
-from regmom.state import (MacroState, ProjectionConditionWarning, UnphysicalStateError,
-                          conserved_from_coeffs, enforce_constraints,
+from regmom.indices import AxisymmetricLayout, MomentLayout
+from regmom.state import (MacroState, UnphysicalStateError, conserved_from_coeffs,
+                          constraint_residual, enforce_constraints,
                           macro_from_conserved, maxwellian_coeffs, project_coeffs,
-                          project_frame, reconstruct, sigma_q1, stress_heat)
+                          reconstruct, sigma11_q1, sigma_q1, stress_heat)
 
-from oracles import (coeff_by_projection, maxwellian_value, quad_stress_heat,
-                     raw_moment)
+import oracles
+from oracles import (coeff_by_projection, expand_full, maxwellian_value,
+                     quad_stress_heat, raw_moment)
 
 
 def random_state(order, dim, seed, scale=0.05):
@@ -20,8 +21,20 @@ def random_state(order, dim, seed, scale=0.05):
     mac = MacroState(rho=1.0 + rng.random(), u=rng.normal(size=dim) * 0.3,
                      theta=0.8 + rng.random())
     coeffs = rng.normal(size=lay.size) * scale
-    enforce_constraints(lay, coeffs, mac.rho)
+    oracles.enforce_constraints(lay, coeffs, mac.rho)
     return lay, mac, coeffs
+
+
+def random_axisymmetric(order, dim, seed, scale=0.05):
+    """random_state for the solver's layout: zero transverse velocity."""
+    rng = np.random.default_rng(seed)
+    lay = AxisymmetricLayout(order, dim)
+    u = np.zeros(dim)
+    u[0] = rng.normal() * 0.3
+    mac = MacroState(rho=1.0 + rng.random(), u=u, theta=0.8 + rng.random())
+    g = rng.normal(size=lay.shape) * scale * lay.mask
+    enforce_constraints(lay, g, mac.rho)
+    return lay, mac, g
 
 
 def test_maxwellian_coeffs_examples():
@@ -77,7 +90,7 @@ def test_stress_heat_d1_constraint_forces_zero_stress():
     mac = MacroState(rho=1.0, u=[0.0], theta=1.0)
     coeffs = np.zeros(lay.size)
     coeffs[0] = 1.0
-    enforce_constraints(lay, coeffs, 1.0)  # sum_d f_{2e_d} = 0 with D=1 pins f_2
+    oracles.enforce_constraints(lay, coeffs, 1.0)  # sum_d f_{2e_d} = 0 with D=1 pins f_2
     sh = stress_heat(lay, coeffs, mac)
     assert sh.sigma[0, 0] == 0.0
 
@@ -148,96 +161,130 @@ def test_macro_from_conserved_rejects_unphysical():
         macro_from_conserved(-1.0, [0.0], 1.0, dim=1)
 
 
+def test_macro_state_rejects_nan():
+    with pytest.raises(UnphysicalStateError):
+        MacroState(rho=math.nan, u=[0.0], theta=1.0)
+    with pytest.raises(UnphysicalStateError):
+        MacroState(rho=1.0, u=[0.0], theta=math.nan)
+
+
+def test_axisymmetric_layout_shape_and_top_grade():
+    lay = AxisymmetricLayout(9, 3)
+    assert lay.shape == (10, 5)
+    assert int(lay.mask.sum()) == 30          # independent coefficients at M = 9
+    assert np.all(lay.grades[lay.top_a, lay.top_k] == 9)
+    assert AxisymmetricLayout(9, 1).shape == (10, 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sigma11_q1_matches_stress_heat(dim):
+    lay, mac, g = random_axisymmetric(4, dim, seed=9)
+    full, f = expand_full(lay, g)
+    sh = stress_heat(full, f, mac)
+    sig11, q1 = sigma11_q1(lay, g)
+    assert sig11 == pytest.approx(sh.sigma[0, 0], rel=1e-14, abs=1e-16)
+    assert q1 == pytest.approx(sh.q[0], rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_conserved_from_coeffs_matches_quadrature(dim):
+    lay, mac, g = random_axisymmetric(4, dim, seed=30 + dim)
+    g[0, 0] *= 1.1                      # off the matched frame: f_0, f_{e_1},
+    g[1, 0] = 0.07                      # and the trace all contribute
+    g[2, 0] += 0.03
+    full, f = expand_full(lay, g)
+    rho, mom, energy = conserved_from_coeffs(lay, g, mac.u, np.asarray(mac.theta))
+    assert rho == pytest.approx(raw_moment(full, f, mac, (0,) * dim), rel=1e-12)
+    for d in range(dim):
+        powers = tuple(int(j == d) for j in range(dim))
+        assert mom[d] == pytest.approx(raw_moment(full, f, mac, powers), abs=1e-12)
+    e_ref = 0.5 * sum(raw_moment(full, f, mac, tuple(2 * (j == d) for j in range(dim)))
+                      for d in range(dim))
+    assert energy == pytest.approx(e_ref, rel=1e-12)
+
+
 def test_project_frame_identity():
-    lay, mac, coeffs = random_state(4, 3, seed=5)
-    out = project_frame(lay, coeffs, mac, mac)
-    assert np.allclose(out, coeffs, atol=0.0)
+    for dim in (1, 2, 3):
+        lay, mac, g = random_axisymmetric(5, dim, seed=5)
+        assert np.array_equal(project_coeffs(lay, g, 0.0, 0.0), g)
 
 
 def test_project_frame_shifted_maxwellian_closed_form():
-    # pure velocity shift of a Maxwellian: f_n = rho (-delta)^n / n!
-    lay = MomentLayout(6, 1)
-    mac = MacroState(rho=2.0, u=[0.0], theta=1.0)
+    # pure velocity shift of a Maxwellian: g_(n,0) = rho (-delta)^n / n!
     delta = 0.37
-    out = project_frame(lay, maxwellian_coeffs(mac, lay), mac,
-                        MacroState(rho=2.0, u=[delta], theta=1.0))
-    expect = np.array([2.0 * (-delta) ** n / math.factorial(n) for n in range(7)])
-    assert np.abs(out - expect).max() < 1e-14
+    for dim in (1, 2, 3):
+        lay = AxisymmetricLayout(6, dim)
+        g = np.zeros(lay.shape)
+        g[0, 0] = 2.0
+        out = project_coeffs(lay, g, delta, 0.0)
+        expect = np.zeros(lay.shape)
+        expect[:, 0] = [2.0 * (-delta) ** n / math.factorial(n) for n in range(7)]
+        assert np.abs(out - expect).max() < 1e-14
 
 
 def test_project_frame_preserves_raw_moments():
     # Maxwellian re-expanded at a different temperature keeps moments <= M
-    lay = MomentLayout(5, 1)
+    lay = AxisymmetricLayout(5, 1)
     mac = MacroState(rho=1.3, u=[0.0], theta=1.0)
     dst = MacroState(rho=1.3, u=[0.0], theta=1.45)
-    src_coeffs = maxwellian_coeffs(mac, lay)
-    out = project_frame(lay, src_coeffs, mac, dst)
+    g = np.zeros(lay.shape)
+    g[0, 0] = mac.rho
+    full, f_src = expand_full(lay, g)
+    _, f_dst = expand_full(lay, project_coeffs(lay, g, 0.0, dst.theta - mac.theta))
     for k in range(lay.order + 1):
-        a = raw_moment(lay, src_coeffs, mac, (k,))
-        b = raw_moment(lay, out, dst, (k,))
+        a = raw_moment(full, f_src, mac, (k,))
+        b = raw_moment(full, f_dst, dst, (k,))
         assert b == pytest.approx(a, abs=1e-9 * max(1.0, abs(a)))
 
 
-@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_project_frame_general_state_preserves_raw_moments(dim):
-    lay, mac, coeffs = random_state(4, dim, seed=20 + dim)
-    dst = MacroState(rho=mac.rho, u=np.asarray(mac.u) + 0.3, theta=mac.theta * 1.3)
-    out = project_frame(lay, coeffs, mac, dst)
-    for k, alpha in enumerate(lay.indices):
-        a = raw_moment(lay, coeffs, mac, alpha)
-        b = raw_moment(lay, out, dst, alpha)
+    # a general axisymmetric state moved in u_1 and theta keeps every raw
+    # moment of order <= M, transverse ones included
+    lay, mac, g = random_axisymmetric(4, dim, seed=20 + dim)
+    du1, dth = 0.3, mac.theta * 0.3
+    dst = MacroState(rho=mac.rho, u=mac.u + du1 * np.eye(dim)[0], theta=mac.theta + dth)
+    out = project_coeffs(lay, g, du1, dth)
+    assert np.all(out[lay.mask == 0.0] == 0.0)
+    full, f_src = expand_full(lay, g)
+    _, f_dst = expand_full(lay, out)
+    for alpha in full.indices:
+        a = raw_moment(full, f_src, mac, alpha)
+        b = raw_moment(full, f_dst, dst, alpha)
         assert b == pytest.approx(a, abs=1e-9 * max(1.0, abs(a)))
-
-
-def test_project_then_conserved_frame_restores_constraints():
-    lay, mac, coeffs = random_state(5, 3, seed=11)
-    dst = MacroState(rho=mac.rho, u=np.asarray(mac.u) - 0.25, theta=mac.theta * 0.8)
-    moved = project_frame(lay, coeffs, mac, dst)
-    rho, mom, energy = conserved_from_coeffs(lay, moved, dst.u, np.asarray(dst.theta))
-    back = macro_from_conserved(float(rho), mom, float(energy))
-    fixed = project_frame(lay, moved, dst, back)
-    scale = mac.rho * max(1.0, mac.theta)
-    for d in range(3):
-        assert abs(fixed[lay.ordinal(lay.unit(d + 1))]) < 1e-10 * scale
-    tr = sum(fixed[lay.ordinal(tuple(2 * (j == d) for j in range(3)))] for d in range(3))
-    assert abs(tr) < 1e-10 * scale
-    assert fixed[0] == pytest.approx(float(rho), rel=1e-13)
-
-
-def test_project_frame_rk4_agrees_with_exact():
-    lay, mac, coeffs = random_state(4, 3, seed=13)
-    dst = MacroState(rho=mac.rho, u=np.asarray(mac.u) + 0.4, theta=mac.theta * 1.5)
-    exact = project_frame(lay, coeffs, mac, dst, method="exact")
-    rk4 = project_frame(lay, coeffs, mac, dst, method="rk4", steps=20)
-    # the generator is nilpotent of degree <= 5 here, so RK4 is exact too
-    assert np.abs(exact - rk4).max() < 1e-13
-    lay6, mac6, coeffs6 = random_state(6, 1, seed=14)
-    dst6 = MacroState(rho=mac6.rho, u=np.asarray(mac6.u) + 0.4, theta=mac6.theta * 1.5)
-    exact6 = project_frame(lay6, coeffs6, mac6, dst6, method="exact")
-    rk46 = project_frame(lay6, coeffs6, mac6, dst6, method="rk4", steps=20)
-    assert np.abs(exact6 - rk46).max() < 1e-8
-
-
-def test_project_frame_rejects_and_warns():
-    lay, mac, coeffs = random_state(3, 1, seed=15)
-    # MacroState construction already rejects theta <= 0; mutate to reach the
-    # projection's own guard
-    bad = MacroState(rho=1.0, u=[0.0], theta=1.0)
-    bad.theta = -0.5
-    with pytest.raises(UnphysicalStateError):
-        project_frame(lay, coeffs, mac, bad)
-    cold = MacroState(rho=1.0, u=[0.0], theta=mac.theta * 0.1)
-    with pytest.warns(ProjectionConditionWarning):
-        project_frame(lay, coeffs, mac, cold)
 
 
 def test_project_coeffs_is_linear():
-    lay = MomentLayout(4, 2)
+    lay = AxisymmetricLayout(6, 3)
     rng = np.random.default_rng(17)
-    a = rng.normal(size=lay.size)
-    b = rng.normal(size=lay.size)
-    du = np.array([0.3, -0.2])
-    dth = np.asarray(0.4)
-    lhs = project_coeffs(lay, 2.0 * a + 3.0 * b, du, dth)
-    rhs = 2.0 * project_coeffs(lay, a, du, dth) + 3.0 * project_coeffs(lay, b, du, dth)
+    a = rng.normal(size=(3,) + lay.shape) * lay.mask
+    b = rng.normal(size=(3,) + lay.shape) * lay.mask
+    du1 = np.array([0.3, -0.2, 0.1])
+    dth = np.array([0.4, -0.1, 0.2])
+    lhs = project_coeffs(lay, 2.0 * a + 3.0 * b, du1, dth)
+    rhs = 2.0 * project_coeffs(lay, a, du1, dth) + 3.0 * project_coeffs(lay, b, du1, dth)
     assert np.abs(lhs - rhs).max() < 1e-13 * max(1.0, np.abs(lhs).max())
+
+
+def test_project_then_conserved_frame_restores_constraints():
+    for dim in (1, 2, 3):
+        lay, mac, g = random_axisymmetric(5, dim, seed=11)
+        du1, dth = -0.25, -0.2 * mac.theta
+        dst = MacroState(rho=mac.rho, u=mac.u + du1 * np.eye(dim)[0], theta=mac.theta + dth)
+        moved = project_coeffs(lay, g, du1, dth)
+        rho, mom, energy = conserved_from_coeffs(lay, moved, dst.u, np.asarray(dst.theta))
+        back = macro_from_conserved(float(rho), mom, float(energy))
+        assert np.all(back.u[1:] == 0.0)
+        fixed = project_coeffs(lay, moved, back.u[0] - dst.u[0], back.theta - dst.theta)
+        assert float(constraint_residual(lay, fixed, rho, back.theta)) < 1e-10
+        assert fixed[0, 0] == pytest.approx(float(rho), rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_enforce_constraints_matches_full_layout(dim):
+    lay = AxisymmetricLayout(4, dim)
+    g = np.random.default_rng(3).normal(size=lay.shape) * lay.mask
+    full, f = expand_full(lay, g)
+    oracles.enforce_constraints(full, f, 1.3)
+    enforce_constraints(lay, g, 1.3)
+    assert np.allclose(expand_full(lay, g)[1], f, rtol=0.0, atol=1e-15)
