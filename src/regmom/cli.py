@@ -197,7 +197,7 @@ def build_parser():
     p_run.add_argument("--diffusion", default="auto",
                        choices=("auto", "explicit", "implicit"))
     p_run.add_argument("--dump-coeffs", action="store_true",
-                       help="append one column per coefficient ordinal")
+                       help="append one column g<a>_<k> per axisymmetric coefficient")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.set_defaults(func=cmd_run)
 

@@ -1,4 +1,4 @@
-"""Closures for the top-order moment coefficients, and first-order limits.
+"""Closures for the top-order moment coefficients.
 
 The truncated moment system retains f_alpha for |alpha| <= M; its transport
 term needs f_beta at |beta| = M + 1.  Two closures are provided:
@@ -26,87 +26,9 @@ trace-free part of the velocity gradient recombines into the stress.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .indices import AxisymmetricLayout, MomentLayout
-from .state import MacroState, stress_heat
-
-
-@dataclass
-class GradientData:
-    """x-derivatives of the local state (1D space).
-
-    u_x[d] is du_d/dx; coeffs_x holds df_alpha/dx for every retained alpha in
-    layout order.
-    """
-
-    rho_x: float
-    u_x: np.ndarray
-    theta_x: float
-    coeffs_x: np.ndarray
-
-
-def _get(layout: MomentLayout, values: np.ndarray, alpha) -> float:
-    if any(c < 0 for c in alpha):
-        return 0.0
-    if not layout.contains(alpha):
-        return 0.0
-    return float(values[layout.ordinal(tuple(alpha))])
-
-
-def closure_nonlinear(layout: MomentLayout, alpha, macro: MacroState,
-                      coeffs: np.ndarray, grads: GradientData, tau: float) -> float:
-    """Nonlinear closure value for one index alpha with |alpha| = M + 1."""
-    alpha = tuple(alpha)
-    D = layout.dim
-    rho, theta = macro.rho, macro.theta
-    sh = stress_heat(layout, coeffs, macro)
-    p_x = grads.rho_x * theta + rho * grads.theta_x
-
-    am1 = tuple(a - (d == 0) for d, a in enumerate(alpha))  # alpha - e_1
-    val = tau * (p_x / rho * _get(layout, coeffs, am1)
-                 - theta * _get(layout, grads.coeffs_x, am1))
-    a1p1 = alpha[0] + 1
-    for d in range(D):
-        amd1 = tuple(a - (j == d) - (j == 0) for j, a in enumerate(alpha))
-        am2d1 = tuple(a - 2 * (j == d) - (j == 0) for j, a in enumerate(alpha))
-        am2dp1 = tuple(a - 2 * (j == d) + (j == 0) for j, a in enumerate(alpha))
-        val += (0.5 * sh.sigma[d, 0] * _get(layout, coeffs, amd1)
-                + sh.q[0] * (theta * _get(layout, coeffs, am2d1)
-                             + a1p1 * _get(layout, coeffs, am2dp1))
-                / ((D + 2) * theta)) / rho
-    return val
-
-
-def closure_linear(layout: MomentLayout, alpha, theta: float, tau: float,
-                   coeffs_x: np.ndarray) -> float:
-    """Linearized closure value: -tau theta d f_{alpha-e_1} / dx."""
-    am1 = tuple(a - (d == 0) for d, a in enumerate(tuple(alpha)))
-    return -tau * theta * _get(layout, coeffs_x, am1)
-
-
-def nsf_limits(macro: MacroState, u_x: np.ndarray, theta_x: float, tau: float):
-    """Leading-order stress and heat flux of the once-iterated system.
-
-    q_k     = -((D+2)/2) tau rho theta dtheta/dx_k,
-    sigma_ij = -2 tau rho theta du_<i/dx_j>   (trace-free symmetrized gradient),
-
-    with fields varying along x_1 only.  Both laws carry the same transport
-    coefficient tau rho theta, hence Prandtl number 1.
-    """
-    D = macro.dim
-    u_x = np.asarray(u_x, dtype=float)
-    grad = np.zeros((D, D))
-    grad[:, 0] = u_x
-    sym = 0.5 * (grad + grad.T)
-    dev = sym - np.trace(sym) / D * np.eye(D)
-    mu = tau * macro.rho * macro.theta
-    sigma = -2.0 * mu * dev
-    q = np.zeros(D)
-    q[0] = -0.5 * (D + 2) * mu * theta_x
-    return sigma, q
+from .indices import AxisymmetricLayout
 
 
 class TopOrderClosure:

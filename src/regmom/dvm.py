@@ -161,10 +161,6 @@ def dvm_moments(state: DVMState, grid: VelocityGrid) -> dict[str, np.ndarray]:
             "sigma11": sigma11, "q1": q1}
 
 
-def total_mass(state: DVMState, grid: VelocityGrid) -> float:
-    return float(state.g.sum() * grid.dv * state.dx)
-
-
 def make_dvm_state(scenario: Scenario, cfg: DVMConfig, grid: VelocityGrid) -> DVMState:
     n = cfg.n_cells
     dx = (scenario.x_hi - scenario.x_lo) / n

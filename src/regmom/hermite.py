@@ -62,16 +62,6 @@ def hermite_roots(n: int) -> np.ndarray:
     return x
 
 
-def max_characteristic_speed(order: int, u1: float, theta: float) -> float:
-    """|u1| + c sqrt(theta) with c the largest root of He_{order+1}.
-
-    This bounds the characteristic velocities of the order-M Hermite moment
-    system linearized about the expansion frame (u, theta).
-    """
-    c = hermite_roots(order + 1)[-1]
-    return abs(u1) + c * math.sqrt(theta)
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss rule for integrals against exp(-x^2/2)/sqrt(2 pi) on R.
@@ -91,24 +81,3 @@ class QuadratureRule:
     def integrate(self, values: np.ndarray) -> float:
         """Sum of values(nodes) * weights along the last axis."""
         return np.asarray(values) @ self.weights
-
-
-def basis_weight(theta: float, alpha: tuple[int, ...], v) -> float:
-    """Scaled Hermite basis value at the scaled velocity v in R^D.
-
-    prod_d (2 pi)^{-1/2} theta^{-(alpha_d+1)/2} He_{alpha_d}(v_d) exp(-v_d^2/2);
-    zero when any component of alpha is negative.
-    """
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    alpha = tuple(alpha)
-    if any(a < 0 for a in alpha):
-        return 0.0
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape[-1] != len(alpha):
-        raise ValueError(f"velocity has {v.shape[-1]} components, alpha has {len(alpha)}")
-    out = 1.0
-    for a, vd in zip(alpha, v):
-        out *= (theta ** (-(a + 1) / 2.0) * he_eval(a, vd)
-                * math.exp(-0.5 * vd * vd) / math.sqrt(2.0 * math.pi))
-    return float(out)

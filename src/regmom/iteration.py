@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .indices import MomentLayout, pad_zero
-from .state import sigma_q1
+from .indices import enumerate_indices, shifted
 
 
 def fd4(values: np.ndarray, dx: float) -> np.ndarray:
@@ -57,7 +56,7 @@ class ManufacturedField:
             theta=np.asarray(self.theta(x), dtype=float),
             theta_x=np.broadcast_to(np.asarray(self.theta_x(x), dtype=float), x.shape),
         )
-        if np.any(sample.rho <= 0.0) or np.any(sample.theta <= 0.0):
+        if np.any(~(sample.rho > 0.0)) or np.any(~(sample.theta > 0.0)):  # NaN fails
             raise ValueError("manufactured field must keep rho > 0 and theta > 0")
         return sample
 
@@ -77,18 +76,45 @@ class FieldSample:
 
 @dataclass
 class IterationState:
-    """Sweep counter plus all coefficients on the grid, shape (n, K)."""
+    """Sweep counter plus all coefficients on the grid.
 
-    layout: MomentLayout
+    ``coeffs[x, a_1, ..., a_D]`` holds f_alpha at grid point x, dense with
+    trailing shape (order+1,)^D; entries with |alpha| > order stay zero, so
+    every shift alpha +- m e_d is an array slice.  ``grades`` is |alpha| per
+    entry.
+    """
+
     coeffs: np.ndarray
+    grades: np.ndarray
+    order: int
     n: int
 
 
 def maxwellian_iteration_state(sample: FieldSample, max_order: int = 10) -> IterationState:
-    layout = MomentLayout(max_order, sample.dim)
-    coeffs = np.zeros((sample.x.size, layout.size))
-    coeffs[:, 0] = sample.rho
-    return IterationState(layout=layout, coeffs=coeffs, n=0)
+    if max_order < 3:
+        raise ValueError(f"the iteration needs max_order >= 3 (stress and heat "
+                         f"flux), got {max_order}")
+    shape = (max_order + 1,) * sample.dim
+    coeffs = np.zeros((sample.x.size,) + shape)
+    coeffs[(slice(None),) + (0,) * sample.dim] = sample.rho
+    return IterationState(coeffs=coeffs, grades=sum(np.indices(shape)),
+                          order=max_order, n=0)
+
+
+def _sigma_q1(f: np.ndarray, dim: int):
+    """(sigma_d1 for d = 1..D as (n, D), q_1) of dense coefficients f (n, ...):
+    sigma_d1 = (1 + delta_d1) f_{e_1+e_d} and q_1 = 2 f_{3e_1} + sum_d f_{2e_d+e_1}."""
+    def at(alpha):
+        return f[(slice(None),) + alpha]
+
+    sig = np.empty((f.shape[0], dim))
+    for d in range(dim):
+        e1_ed = tuple((j == d) + (j == 0) for j in range(dim))
+        sig[:, d] = (2.0 if d == 0 else 1.0) * at(e1_ed)
+    q = 2.0 * at(tuple(3 * (j == 0) for j in range(dim)))
+    for d in range(dim):
+        q = q + at(tuple(2 * (j == d) + (j == 0) for j in range(dim)))
+    return sig, q
 
 
 def time_derivative_fields(state: IterationState, sample: FieldSample):
@@ -98,13 +124,12 @@ def time_derivative_fields(state: IterationState, sample: FieldSample):
     and heat flux (spatial variation along x_1 only).  Freezing these fields
     makes the sweep map linear in the coefficients.
     """
-    lay = state.layout
-    D = lay.dim
+    D = sample.dim
     rho, theta = sample.rho, sample.theta
     u1 = sample.u[:, 0]
-    sig, _ = sigma_q1(lay, state.coeffs)
+    sig, _ = _sigma_q1(state.coeffs, D)
     fx = fd4(state.coeffs, sample.dx)
-    sig_x, q1_x = sigma_q1(lay, fx)
+    sig_x, q1_x = _sigma_q1(fx, D)
     p_x = sample.rho_x * theta + rho * sample.theta_x
     dudt = np.empty_like(sample.u)
     for i in range(D):
@@ -123,43 +148,40 @@ def iterate_once(state: IterationState, sample: FieldSample, tau: float,
     ``materials`` overrides the (du/dt, dtheta/dt) fields; by default they
     come from the current sweep via ``time_derivative_fields``.
     """
-    lay = state.layout
-    D = lay.dim
+    D = sample.dim
     f = state.coeffs
-    fp = pad_zero(f)
     fx = fd4(f, sample.dx)
-    fxp = pad_zero(fx)
 
-    rho, theta = sample.rho, sample.theta
-    u1 = sample.u[:, 0]
-    a1p1 = (lay.components[:, 0] + 1).astype(float)
+    def col(v):
+        return v.reshape((-1,) + (1,) * D)
+
+    theta, u1 = col(sample.theta), col(sample.u[:, 0])
+    a1p1 = np.arange(1.0, state.order + 2.0).reshape((-1,) + (1,) * (D - 1))
     dudt, dthdt = (time_derivative_fields(state, sample)
                    if materials is None else materials)
 
-    def tab(delta):
-        return lay.shift_table(tuple(delta))[:-1]
+    def at(arr, d=0, m=0, m1=0):
+        """arr at alpha + m e_d + m1 e_1."""
+        return shifted(arr, tuple(m * (j == d) + m1 * (j == 0) for j in range(D)))
 
-    e1 = lambda j: int(j == 0)
-    G = theta[:, None] * fxp[:, tab([-e1(j) for j in range(D)])]
-    G += u1[:, None] * fx
-    G += a1p1 * fxp[:, tab([+e1(j) for j in range(D)])]
-    G += 0.5 * dthdt[:, None] * sum(fp[:, tab([-2 * (j == d) for j in range(D)])]
-                                    for d in range(D))
+    G = theta * at(fx, m1=-1)
+    G += u1 * fx
+    G += a1p1 * at(fx, m1=1)
+    G += 0.5 * col(dthdt) * sum(at(f, d, -2) for d in range(D))
     for d in range(D):
-        G += dudt[:, d, None] * fp[:, tab([-(j == d) for j in range(D)])]
-        G += sample.u_x[:, d, None] * (
-            theta[:, None] * fp[:, tab([-(j == d) - e1(j) for j in range(D)])]
-            + u1[:, None] * fp[:, tab([-(j == d) for j in range(D)])]
-            + a1p1 * fp[:, tab([-(j == d) + e1(j) for j in range(D)])])
-        G += 0.5 * sample.theta_x[:, None] * (
-            theta[:, None] * fp[:, tab([-2 * (j == d) - e1(j) for j in range(D)])]
-            + u1[:, None] * fp[:, tab([-2 * (j == d) for j in range(D)])]
-            + a1p1 * fp[:, tab([-2 * (j == d) + e1(j) for j in range(D)])])
+        G += col(dudt[:, d]) * at(f, d, -1)
+        G += col(sample.u_x[:, d]) * (theta * at(f, d, -1, -1) + u1 * at(f, d, -1)
+                                      + a1p1 * at(f, d, -1, 1))
+        G += 0.5 * col(sample.theta_x) * (theta * at(f, d, -2, -1) + u1 * at(f, d, -2)
+                                          + a1p1 * at(f, d, -2, 1))
 
     new = -tau * G
+    new *= state.grades <= state.order
     # f_0 and f_{e_j} never appear on the left of the iteration.
-    new[:, lay.orders < 2] = f[:, lay.orders < 2]
-    return IterationState(layout=lay, coeffs=new, n=state.n + 1)
+    low = state.grades < 2
+    new[:, low] = f[:, low]
+    return IterationState(coeffs=new, grades=state.grades, order=state.order,
+                          n=state.n + 1)
 
 
 def run_iteration(sample: FieldSample, tau: float, sweeps: int,
@@ -203,44 +225,32 @@ def magnitude_table(field: ManufacturedField, taus: Sequence[float],
 
     The moment norm is max |f_alpha| over the grid after ``sweeps`` sweeps.
     Moments that vanish identically on the field (exact zeros; cancellations
-    or symmetries) are flagged degenerate and carry measured = nan.
+    or symmetries) are flagged degenerate and carry measured = nan.  A slope
+    needs two distinct tau values; fewer raise ValueError.
     """
     taus = np.asarray(sorted(taus), dtype=float)
+    if np.unique(taus).size < 2:
+        raise ValueError(f"an exponent fit needs at least two distinct tau values, "
+                         f"got {taus.tolist()}")
     sample = field.sample(grid_n)
     norms = []
     for tau in taus:
         state = run_iteration(sample, float(tau), sweeps, max_order)
         norms.append(np.abs(state.coeffs).max(axis=0))
-    norms = np.array(norms)  # (ntau, K)
-    layout = MomentLayout(max_order, field.dim)
-    top = layout.order if report_order is None else report_order
+    norms = np.array(norms)  # (ntau, M+1, ..., M+1)
+    top = max_order if report_order is None else report_order
     rows = []
-    for k, alpha in enumerate(layout.indices):
+    for alpha in enumerate_indices(max_order, field.dim):
         pred = predicted_exponent(alpha)
         if pred is None or sum(alpha) > top:
             continue
-        col = norms[:, k]
+        col = norms[(slice(None),) + alpha]
         if np.all(col == 0.0):
             rows.append(MagnitudeRow(alpha, sum(alpha), pred, math.nan, True))
             continue
         slope = np.polyfit(np.log(taus), np.log(col), 1)[0]
         rows.append(MagnitudeRow(alpha, sum(alpha), pred, float(slope), False))
     return rows
-
-
-def magnitude_exponent(alpha: tuple[int, ...], field: ManufacturedField,
-                       taus: Sequence[float], sweeps: int | None = None,
-                       max_order: int = 10, grid_n: int = 64):
-    """(measured exponent, degenerate flag) for a single index."""
-    alpha = tuple(alpha)
-    if sweeps is None:
-        sweeps = max(1, math.ceil(sum(alpha) / 3))
-    rows = magnitude_table(field, taus, sweeps=sweeps, max_order=max_order,
-                           grid_n=grid_n)
-    for row in rows:
-        if row.alpha == alpha:
-            return row.measured, row.degenerate
-    raise ValueError(f"{alpha} has no relaxation-order prediction")
 
 
 @dataclass
@@ -259,8 +269,8 @@ def nsf_check(field: ManufacturedField, tau: float, sweeps: int = 2,
     """
     sample = field.sample(grid_n)
     state = run_iteration(sample, tau, sweeps, max_order)
-    sig, q1 = sigma_q1(state.layout, state.coeffs)
     D = field.dim
+    sig, q1 = _sigma_q1(state.coeffs, D)
     mu = tau * sample.rho * sample.theta
     sig_ref = np.empty_like(sig)
     for i in range(D):

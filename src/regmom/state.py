@@ -1,25 +1,23 @@
 """Local Hermite expansion states: frames, coefficients, moments, projections.
 
-A local state is a frame (rho, u, theta) plus a coefficient vector f_alpha
-over a MomentLayout.  The distribution it represents is
+A local state is a frame (rho, u, theta) plus Hermite coefficients f_alpha.
+The distribution it represents is
 
     f(xi) = sum_alpha f_alpha H_{theta,alpha}((xi - u)/sqrt(theta)).
 
-The moment solver's frames have zero transverse velocity; its functions here
-take the coefficients g[..., a, k] of an AxisymmetricLayout.  Low-order
+The moment solver's frames have zero transverse velocity, so the functions
+here take the coefficients g[..., a, k] of an AxisymmetricLayout.  Low-order
 coefficients are pinned by the frame:  g_00 = rho, g_10 = 0 and
 g_20 + (D-1) g_01 = sum_d f_{2e_d} = 0 whenever (u, theta) match the conserved
 moments.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import he_table
-from .indices import AxisymmetricLayout, MomentLayout
+from .indices import AxisymmetricLayout
 from .indices import pad_zero  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 
 
@@ -48,26 +46,6 @@ class MacroState:
     @property
     def pressure(self) -> float:
         return self.rho * self.theta
-
-
-@dataclass
-class StressHeat:
-    """Pressure tensor split p_ij = p delta_ij + sigma_ij, plus heat flux."""
-
-    p: float
-    sigma: np.ndarray
-    q: np.ndarray
-
-    @property
-    def pressure_tensor(self) -> np.ndarray:
-        return self.p * np.eye(self.sigma.shape[0]) + self.sigma
-
-
-def maxwellian_coeffs(macro: MacroState, layout: MomentLayout) -> np.ndarray:
-    """Expansion of the local Maxwellian in its own frame: f_0 = rho, rest 0."""
-    coeffs = np.zeros(layout.size)
-    coeffs[0] = macro.rho
-    return coeffs
 
 
 def conserved_from_coeffs(layout: AxisymmetricLayout, g: np.ndarray,
@@ -108,63 +86,6 @@ def macro_from_conserved(rho, mom, energy, dim: int | None = None):
     if arrays:
         return u, theta
     return MacroState(rho=float(rho), u=u, theta=float(theta))
-
-
-def stress_heat(layout: MomentLayout, coeffs: np.ndarray, macro: MacroState) -> StressHeat:
-    """Stress tensor and heat flux read off the coefficients.
-
-    sigma_ij = f_{e_i+e_j} (i != j),  sigma_jj = 2 f_{2e_j},
-    q_k = 2 f_{3e_k} + sum_d f_{2e_d + e_k}.
-    Coefficients outside the layout count as zero (truncation).
-    """
-    D = layout.dim
-
-    def get(alpha):
-        return coeffs[..., layout.ordinal(alpha)] if layout.contains(alpha) else 0.0
-
-    sigma = np.zeros(coeffs.shape[:-1] + (D, D))
-    for i in range(D):
-        for j in range(D):
-            a = tuple((i == d) + (j == d) for d in range(D))
-            sigma[..., i, j] = (2.0 if i == j else 1.0) * get(a)
-    q = np.zeros(coeffs.shape[:-1] + (D,))
-    for k in range(D):
-        val = 2.0 * get(tuple(3 * (k == d) for d in range(D)))
-        for d in range(D):
-            val = val + get(tuple(2 * (d == j) + (k == j) for j in range(D)))
-        q[..., k] = val
-    return StressHeat(p=macro.rho * macro.theta, sigma=sigma, q=q)
-
-
-def sigma_q1(layout: MomentLayout, coeffs: np.ndarray):
-    """(sigma_d1 for d = 1..D as (..., D), q_1) per row: the x_1 column of
-    ``stress_heat`` without the full tensor.  Needs order >= 3."""
-    D = layout.dim
-    sig = np.empty(coeffs.shape[:-1] + (D,))
-    for d in range(D):
-        a = tuple((j == d) + (j == 0) for j in range(D))
-        sig[..., d] = (2.0 if d == 0 else 1.0) * coeffs[..., layout.ordinal(a)]
-    q = 2.0 * coeffs[..., layout.ordinal(tuple(3 if d == 0 else 0 for d in range(D)))]
-    for d in range(D):
-        a = tuple(2 * (j == d) + (j == 0) for j in range(D))
-        q = q + coeffs[..., layout.ordinal(a)]
-    return sig, q
-
-
-def reconstruct(layout: MomentLayout, coeffs: np.ndarray, macro: MacroState, xi) -> float:
-    """Pointwise value of the expansion at velocity xi."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    v = (xi - macro.u) / math.sqrt(macro.theta)
-    tab = he_table(layout.order, v)  # (order+1, D)
-    gauss = np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
-    D = layout.dim
-    total = 0.0
-    for k, alpha in enumerate(layout.indices):
-        term = coeffs[k]
-        for d in range(D):
-            term *= (macro.theta ** (-(alpha[d] + 1) / 2.0) * tab[alpha[d], d] * gauss[d])
-        total += term
-    return float(total)
 
 
 def project_coeffs(layout: AxisymmetricLayout, g: np.ndarray, du1, dtheta) -> np.ndarray:

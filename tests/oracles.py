@@ -10,15 +10,168 @@ tensor Gauss quadrature against the unit Gaussian: writing xi = u + sqrt(theta) 
 which the rule evaluates exactly whenever g is a polynomial of moderate
 degree.  These oracles never call the projection or closure code paths they
 are used to check.
+
+The reference formulas below (stress and heat flux, pointwise closures) work
+on the full graded-lex ``MomentLayout``, a storage scheme the library itself
+no longer uses, so they share no indexing code with what they check.
 """
 import math
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 from numpy.polynomial import hermite_e
 
 from regmom.hermite import he_table
-from regmom.indices import MomentLayout
+from regmom.indices import enumerate_indices
+from regmom.state import MacroState
+
+
+class MomentLayout:
+    """Bijective ordinal numbering of {alpha : |alpha| <= order} in N^dim.
+
+    Immutable after construction.
+    """
+
+    def __init__(self, order: int, dim: int):
+        self.order = order
+        self.dim = dim
+        self.indices = enumerate_indices(order, dim)
+        self.size = len(self.indices)
+        self._ordinal = {a: k for k, a in enumerate(self.indices)}
+        self.orders = np.array([sum(a) for a in self.indices], dtype=np.intp)
+        self.components = np.array(self.indices, dtype=np.intp).reshape(self.size, dim)
+
+    def __repr__(self) -> str:
+        return f"MomentLayout(order={self.order}, dim={self.dim}, size={self.size})"
+
+    def __len__(self) -> int:
+        return self.size
+
+    def ordinal(self, alpha: tuple[int, ...]) -> int:
+        """Position of alpha in the graded-lex ordering; |alpha| > order is rejected."""
+        try:
+            return self._ordinal[tuple(alpha)]
+        except KeyError:
+            raise ValueError(f"{tuple(alpha)} is not in the moment set "
+                             f"(order {self.order}, dim {self.dim})") from None
+
+    def unrank(self, k: int) -> tuple[int, ...]:
+        return self.indices[k]
+
+    def contains(self, alpha: tuple[int, ...]) -> bool:
+        return tuple(alpha) in self._ordinal
+
+    def grade(self, n: int) -> slice:
+        """Slice of ordinals with |alpha| == n (contiguous by construction)."""
+        lo = count(n - 1, self.dim) if n > 0 else 0
+        return slice(lo, count(n, self.dim))
+
+
+def count(order: int, dim: int) -> int:
+    """Number of multi-indices with |alpha| <= order: binomial(order+dim, dim)."""
+    if order < 0:
+        return 0
+    return math.comb(order + dim, dim)
+
+
+@dataclass
+class StressHeat:
+    """Pressure tensor split p_ij = p delta_ij + sigma_ij, plus heat flux."""
+
+    p: float
+    sigma: np.ndarray
+    q: np.ndarray
+
+    @property
+    def pressure_tensor(self) -> np.ndarray:
+        return self.p * np.eye(self.sigma.shape[0]) + self.sigma
+
+
+def maxwellian_coeffs(macro: MacroState, layout: MomentLayout) -> np.ndarray:
+    """Expansion of the local Maxwellian in its own frame: f_0 = rho, rest 0."""
+    coeffs = np.zeros(layout.size)
+    coeffs[0] = macro.rho
+    return coeffs
+
+
+def stress_heat(layout: MomentLayout, coeffs: np.ndarray, macro: MacroState) -> StressHeat:
+    """Stress tensor and heat flux read off the coefficients.
+
+    sigma_ij = f_{e_i+e_j} (i != j),  sigma_jj = 2 f_{2e_j},
+    q_k = 2 f_{3e_k} + sum_d f_{2e_d + e_k}.
+    Coefficients outside the layout count as zero (truncation).
+    """
+    D = layout.dim
+
+    def get(alpha):
+        return coeffs[..., layout.ordinal(alpha)] if layout.contains(alpha) else 0.0
+
+    sigma = np.zeros(coeffs.shape[:-1] + (D, D))
+    for i in range(D):
+        for j in range(D):
+            a = tuple((i == d) + (j == d) for d in range(D))
+            sigma[..., i, j] = (2.0 if i == j else 1.0) * get(a)
+    q = np.zeros(coeffs.shape[:-1] + (D,))
+    for k in range(D):
+        val = 2.0 * get(tuple(3 * (k == d) for d in range(D)))
+        for d in range(D):
+            val = val + get(tuple(2 * (d == j) + (k == j) for j in range(D)))
+        q[..., k] = val
+    return StressHeat(p=macro.rho * macro.theta, sigma=sigma, q=q)
+
+
+@dataclass
+class GradientData:
+    """x-derivatives of the local state (1D space).
+
+    u_x[d] is du_d/dx; coeffs_x holds df_alpha/dx for every retained alpha in
+    layout order.
+    """
+
+    rho_x: float
+    u_x: np.ndarray
+    theta_x: float
+    coeffs_x: np.ndarray
+
+
+def _get(layout: MomentLayout, values: np.ndarray, alpha) -> float:
+    if any(c < 0 for c in alpha):
+        return 0.0
+    if not layout.contains(alpha):
+        return 0.0
+    return float(values[layout.ordinal(tuple(alpha))])
+
+
+def closure_nonlinear(layout: MomentLayout, alpha, macro: MacroState,
+                      coeffs: np.ndarray, grads: GradientData, tau: float) -> float:
+    """Nonlinear closure value for one index alpha with |alpha| = M + 1."""
+    alpha = tuple(alpha)
+    D = layout.dim
+    rho, theta = macro.rho, macro.theta
+    sh = stress_heat(layout, coeffs, macro)
+    p_x = grads.rho_x * theta + rho * grads.theta_x
+
+    am1 = tuple(a - (d == 0) for d, a in enumerate(alpha))  # alpha - e_1
+    val = tau * (p_x / rho * _get(layout, coeffs, am1)
+                 - theta * _get(layout, grads.coeffs_x, am1))
+    a1p1 = alpha[0] + 1
+    for d in range(D):
+        amd1 = tuple(a - (j == d) - (j == 0) for j, a in enumerate(alpha))
+        am2d1 = tuple(a - 2 * (j == d) - (j == 0) for j, a in enumerate(alpha))
+        am2dp1 = tuple(a - 2 * (j == d) + (j == 0) for j, a in enumerate(alpha))
+        val += (0.5 * sh.sigma[d, 0] * _get(layout, coeffs, amd1)
+                + sh.q[0] * (theta * _get(layout, coeffs, am2d1)
+                             + a1p1 * _get(layout, coeffs, am2dp1))
+                / ((D + 2) * theta)) / rho
+    return val
+
+
+def closure_linear(layout: MomentLayout, alpha, theta: float, tau: float,
+                   coeffs_x: np.ndarray) -> float:
+    """Linearized closure value: -tau theta d f_{alpha-e_1} / dx."""
+    am1 = tuple(a - (d == 0) for d, a in enumerate(tuple(alpha)))
+    return -tau * theta * _get(layout, coeffs_x, am1)
 
 
 def _tensor_nodes(dim, n_nodes):
@@ -113,15 +266,6 @@ def coeff_by_projection(layout, coeffs, macro, beta, n_nodes=40):
     fact = np.prod([math.factorial(b) for b in beta])
     return (macro.theta ** (sum(beta) / 2.0) / fact
             * quad_moment(layout, coeffs, macro, g, n_nodes))
-
-
-def maxwellian_value(macro, xi):
-    """Closed-form local Maxwellian at one velocity point."""
-    xi = np.asarray(xi, dtype=float)
-    D = xi.shape[-1]
-    diff = xi - np.asarray(macro.u)
-    return (macro.rho / (2.0 * math.pi * macro.theta) ** (D / 2.0)
-            * math.exp(-0.5 * float(diff @ diff) / macro.theta))
 
 
 def enforce_constraints(layout, coeffs, rho):

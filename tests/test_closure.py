@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from regmom.closure import (GradientData, TopOrderClosure, closure_linear,
-                            closure_nonlinear, nsf_limits)
+from regmom.closure import TopOrderClosure
 from regmom import state
-from regmom.indices import AxisymmetricLayout, MomentLayout
-from regmom.state import MacroState, stress_heat
+from regmom.indices import AxisymmetricLayout
+from regmom.iteration import ManufacturedField, _sigma_q1, run_iteration
+from regmom.state import MacroState
 
-from oracles import enforce_constraints, expand_full
+from oracles import (GradientData, MomentLayout, closure_linear, closure_nonlinear,
+                     enforce_constraints, expand_full, stress_heat)
 
 
 def top_indices(order, dim):
@@ -19,7 +20,7 @@ def top_indices(order, dim):
 
 def naive_nonlinear(layout, alpha, macro, coeffs, grads, tau):
     """Straight transcription of the closure expression, written independently
-    of the production gather-table implementation (loops and dict lookups)."""
+    of the ordinal-layout reference in oracles (loops and dict lookups)."""
     D = layout.dim
     table = {a: coeffs[k] for k, a in enumerate(layout.indices)}
     table_x = {a: grads.coeffs_x[k] for k, a in enumerate(layout.indices)}
@@ -162,34 +163,62 @@ def test_closure_linearization_consistency():
     assert min(orders) >= 1.9
 
 
+# The first-order (NSF/Fourier) limits of the moment system, as one sweep of
+# the Maxwell iteration from the local equilibrium produces them.
+
+def zero(x):
+    return np.zeros_like(x)
+
+
+def first_sweep_stress_heat(u, u_x, theta, theta_x, tau, rho=1.3):
+    """One sweep on a D = 3 field with constant rho and the given x-profiles;
+    returns (sample, coefficients, sigma_d1, q_1)."""
+    field = ManufacturedField(
+        dim=3, rho=lambda x: np.full_like(x, rho), rho_x=zero,
+        u=u, u_x=u_x, theta=theta, theta_x=theta_x)
+    sample = field.sample(32)
+    state = run_iteration(sample, tau, 1, max_order=4)
+    sig, q1 = _sigma_q1(state.coeffs, 3)
+    return sample, state.coeffs, sig, q1
+
+
 def test_nsf_limits_uniform_theta_gives_zero_heat_flux():
-    mac = MacroState(rho=1.0, u=[0.2, 0.0, 0.0], theta=1.0)
-    sigma, q = nsf_limits(mac, u_x=[0.5, 0.0, 0.0], theta_x=0.0, tau=0.3)
+    _, _, _, q = first_sweep_stress_heat(
+        u=(lambda x: 0.2 + 0.5 * np.sin(x), zero, zero),
+        u_x=(lambda x: 0.5 * np.cos(x), zero, zero),
+        theta=lambda x: np.ones_like(x), theta_x=zero, tau=0.3)
     assert np.all(q == 0.0)
 
 
 def test_nsf_limits_unidirectional_shear():
     # D=3, u = (u1(x), 0, 0): sigma_11 = -(4/3) tau rho theta du1/dx
-    mac = MacroState(rho=1.4, u=np.zeros(3), theta=1.1)
-    du = 0.7
-    sigma, q = nsf_limits(mac, u_x=[du, 0.0, 0.0], theta_x=0.0, tau=0.3)
-    mu = 0.3 * mac.rho * mac.theta
-    assert sigma[0, 0] == pytest.approx(-(4.0 / 3.0) * mu * du, rel=1e-14)
-    assert sigma[1, 1] == pytest.approx((2.0 / 3.0) * mu * du, rel=1e-14)
-    assert np.trace(sigma) == pytest.approx(0.0, abs=1e-15)
+    sample, f, sigma, _ = first_sweep_stress_heat(
+        u=(lambda x: 0.7 * np.sin(x), zero, zero),
+        u_x=(lambda x: 0.7 * np.cos(x), zero, zero),
+        theta=lambda x: np.full_like(x, 1.1), theta_x=zero, tau=0.3)
+    du = sample.u_x[:, 0]
+    mu = 0.3 * sample.rho * sample.theta
+    sigma22, sigma33 = 2.0 * f[:, 0, 2, 0], 2.0 * f[:, 0, 0, 2]
+    scale = mu.max() * 0.7
+    assert np.abs(sigma[:, 0] + (4.0 / 3.0) * mu * du).max() <= 1e-14 * scale
+    assert np.abs(sigma22 - (2.0 / 3.0) * mu * du).max() <= 1e-14 * scale
+    assert np.abs(sigma[:, 0] + sigma22 + sigma33).max() <= 1e-15 * scale
 
 
 def test_nsf_limits_prandtl_number_is_one():
     # Pr = (viscosity * c_p) / conductivity with c_p = (D+2)/2 per unit mass
     D = 3
-    mac = MacroState(rho=1.3, u=np.zeros(D), theta=0.8)
-    tau = 0.21
-    du, dth = 0.4, 0.6
-    sigma, q = nsf_limits(mac, u_x=[0.0, du, 0.0], theta_x=dth, tau=tau)
-    viscosity = -sigma[0, 1] / du  # sigma_12 = -mu du2/dx1
-    conductivity = -q[0] / dth
+    sample, _, sigma, q = first_sweep_stress_heat(
+        u=(zero, lambda x: 0.4 * np.sin(x), zero),
+        u_x=(zero, lambda x: 0.4 * np.cos(x), zero),
+        theta=lambda x: 0.8 + 0.1 * np.sin(x), theta_x=lambda x: 0.1 * np.cos(x),
+        tau=0.21)
+    du, dth = sample.u_x[:, 1], sample.theta_x
+    ok = np.abs(np.cos(sample.x)) > 0.1
+    viscosity = -sigma[ok, 1] / du[ok]  # sigma_12 = -mu du2/dx1
+    conductivity = -q[ok] / dth[ok]
     prandtl = viscosity * ((D + 2) / 2.0) / conductivity
-    assert prandtl == pytest.approx(1.0, rel=1e-13)
+    assert np.abs(prandtl - 1.0).max() < 1e-13
 
 
 def test_top_order_closure_matches_pointwise():

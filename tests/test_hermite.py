@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from regmom.hermite import (QuadratureRule, basis_weight, he_derivative, he_eval,
-                            he_table, hermite_roots, max_characteristic_speed)
+from regmom.hermite import (QuadratureRule, he_derivative, he_eval, he_table,
+                            hermite_roots)
+from regmom.scenarios import shock_tube
+from regmom.solver import SolverConfig, make_state, step
 
 
 def test_he_base_cases():
@@ -77,29 +79,11 @@ def test_quadrature_normalization():
 def test_hermite_roots_interlace_and_speed():
     r4 = hermite_roots(4)
     assert r4[-1] == pytest.approx(2.3344142183389773, abs=1e-12)
-    assert max_characteristic_speed(3, -1.0, 4.0) == pytest.approx(1.0 + 2 * r4[-1])
-
-
-def test_basis_weight_ground_state():
-    val = basis_weight(1.0, (0,), [0.0])
-    assert val == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
-    assert val == pytest.approx(0.398942, abs=1e-6)
-
-
-def test_basis_weight_negative_component_zero():
-    assert basis_weight(1.0, (-1, 0, 0), [0.1, 0.2, 0.3]) == 0.0
-
-
-def test_basis_weight_theta_scaling():
-    # value scales by theta^{-(alpha_d+1)/2} per dimension at fixed v
-    v = [0.4, -0.7]
-    alpha = (2, 1)
-    a = basis_weight(1.0, alpha, v)
-    b = basis_weight(4.0, alpha, v)
-    power = sum(a_d + 1 for a_d in alpha) / 2.0
-    assert b == pytest.approx(a * 4.0 ** (-power), rel=1e-12)
-
-
-def test_basis_weight_rejects_nonpositive_theta():
-    with pytest.raises(ValueError):
-        basis_weight(0.0, (0,), [0.0])
+    # the moment solver bounds its wavespeeds at order M by |u1| + c sqrt(theta),
+    # c the largest root of He_{M+1}; with implicit diffusion dt = cfl dx / bound
+    sc = shock_tube(kn=0.5)
+    sc.u0 = lambda x: np.zeros((np.asarray(x).size, 3)) + np.array([-1.0, 0.0, 0.0])
+    sc.theta0 = lambda x: np.full_like(np.asarray(x, float), 4.0)
+    cfg = SolverConfig.from_scenario(sc, order=3, n_cells=20, diffusion="implicit")
+    state = make_state(sc, cfg)
+    assert step(state, cfg) == pytest.approx(cfg.cfl * state.dx / (1.0 + 2 * r4[-1]))

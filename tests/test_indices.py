@@ -4,7 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from regmom.indices import MomentLayout, count, enumerate_indices, pad_zero, shift
+from regmom.indices import enumerate_indices, pad_zero, shifted
+
+from oracles import MomentLayout, count
 
 
 def brute_force(order, dim):
@@ -50,19 +52,22 @@ def test_dim_rejected():
 
 
 def test_shift_examples():
-    assert shift((1, 0, 0), 1, -1) == (0, 0, 0)
-    assert shift((0, 1, 0), 1, -1) is None
-    assert shift((2, 0, 1), 3, +2) == (2, 0, 3)
+    f = np.random.default_rng(1).normal(size=(2, 5, 5, 5))
+    assert np.all(shifted(f, (-1, 0, 0))[:, 1, 0, 0] == f[:, 0, 0, 0])
+    assert np.all(shifted(f, (-1, 0, 0))[:, 0, 1, 0] == 0.0)   # negative component
+    assert np.all(shifted(f, (0, 0, 2))[:, 2, 0, 1] == f[:, 2, 0, 3])
+    assert np.all(shifted(f, (0, 0, 2))[:, 2, 0, 3] == 0.0)    # leaves the array
 
 
 def test_shift_round_trip():
-    for alpha in enumerate_indices(4, 3):
-        for axis in (1, 2, 3):
-            for delta in (1, 2, -1, -2):
-                there = shift(alpha, axis, delta)
-                if there is None:
-                    continue
-                assert shift(there, axis, -delta) == alpha
+    f = np.random.default_rng(2).normal(size=(5, 5, 5))
+    for axis in (1, 2, 3):
+        for delta in (1, 2, -1, -2):
+            step = tuple(delta * (d == axis - 1) for d in range(3))
+            back = shifted(shifted(f, step), tuple(-c for c in step))
+            for alpha in enumerate_indices(4, 3):
+                there = alpha[axis - 1] - delta
+                assert back[alpha] == (f[alpha] if 0 <= there < 5 else 0.0)
 
 
 @pytest.mark.parametrize("order,dim", [(15, 1), (15, 2), (15, 3)])
@@ -82,24 +87,26 @@ def test_ordinal_rejects_out_of_set():
         lay.ordinal((4, 0))
 
 
-def test_shift_table_matches_scalar_shift():
-    lay = MomentLayout(5, 3)
-    for delta in [(-1, 0, 0), (0, -2, 0), (1, 0, 0), (-1, 0, -1), (2, 0, -2)]:
-        tab = lay.shift_table(delta)
-        assert tab[lay.size] == lay.size
-        for k, alpha in enumerate(lay.indices):
+def test_slice_shift_matches_scalar_shift():
+    shape = (6, 6, 6)
+    f = np.random.default_rng(5).normal(size=(3,) + shape)
+    for delta in [(-1, 0, 0), (0, -2, 0), (1, 0, 0), (-1, 0, -1), (2, 0, -2),
+                  (-6, 0, 0), (0, 7, 0)]:
+        out = shifted(f, delta)
+        for alpha in np.ndindex(shape):
             b = tuple(x + y for x, y in zip(alpha, delta))
-            if all(c >= 0 for c in b) and lay.contains(b):
-                assert tab[k] == lay.ordinal(b)
+            if all(0 <= c < n for c, n in zip(b, shape)):
+                assert np.all(out[(slice(None),) + alpha] == f[(slice(None),) + b])
             else:
-                assert tab[k] == lay.size
+                assert np.all(out[(slice(None),) + alpha] == 0.0)
 
 
 def test_pad_zero_gathers_give_exact_zero():
     lay = MomentLayout(3, 2)
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=(4, lay.size))
-    tab = lay.shift_table((-1, 0))[:-1]
+    # ordinal of alpha - e_1, or the padded zero column where that leaves the set
+    tab = [lay.ordinal((a - 1, b)) if a > 0 else lay.size for a, b in lay.indices]
     gathered = pad_zero(coeffs)[:, tab]
     for k, alpha in enumerate(lay.indices):
         if alpha[0] == 0:

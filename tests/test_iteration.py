@@ -1,14 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regmom.indices import MomentLayout
-from regmom.iteration import (field_preset, iterate_once, magnitude_exponent,
+from regmom.iteration import (field_preset, iterate_once,
                               magnitude_table, maxwellian_iteration_state,
                               nsf_check, predicted_exponent, run_iteration, fd4)
 
 TAU = 0.01
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -60,35 +61,33 @@ def first_sweep_closed_forms(sample, tau):
 
 def test_first_sweep_matches_closed_forms(generic_sample):
     state = run_iteration(generic_sample, TAU, 1, max_order=6)
-    lay = state.layout
     expected = first_sweep_closed_forms(generic_sample, TAU)
     scale = (TAU * generic_sample.rho * generic_sample.theta).max()
     for alpha, ref in expected.items():
-        got = state.coeffs[:, lay.ordinal(alpha)]
+        got = state.coeffs[(slice(None),) + alpha]
         assert np.abs(got - ref).max() <= 1e-8 * scale, alpha
     # fully mixed third-order index and everything above order 3 vanish
-    assert np.all(state.coeffs[:, lay.ordinal((1, 1, 1))] == 0.0)
-    assert np.all(state.coeffs[:, lay.orders >= 4] == 0.0)
+    assert np.all(state.coeffs[:, 1, 1, 1] == 0.0)
+    assert np.all(state.coeffs[:, state.grades >= 4] == 0.0)
 
 
 def test_conserved_coefficients_never_change(generic_sample):
     state = maxwellian_iteration_state(generic_sample, max_order=6)
-    lay = state.layout
     for _ in range(3):
         state = iterate_once(state, generic_sample, TAU)
-        assert np.array_equal(state.coeffs[:, 0], generic_sample.rho)
+        assert np.array_equal(state.coeffs[:, 0, 0, 0], generic_sample.rho)
         for d in range(3):
-            assert np.all(state.coeffs[:, lay.ordinal(lay.unit(d + 1))] == 0.0)
+            unit = tuple(int(j == d) for j in range(3))
+            assert np.all(state.coeffs[(slice(None),) + unit] == 0.0)
 
 
 def test_compatibility_trace_preserved(generic_sample):
     # sum_d f_{2e_d} stays (near) zero through sweeps: the second-order trace
     # equation reduces to the energy conservation law
     state = run_iteration(generic_sample, TAU, 3, max_order=9)
-    lay = state.layout
-    tr = sum(state.coeffs[:, lay.ordinal(tuple(2 * (j == d) for j in range(3)))]
+    tr = sum(state.coeffs[(slice(None),) + tuple(2 * (j == d) for j in range(3))]
              for d in range(3))
-    mag = np.abs(state.coeffs[:, lay.grade(2)]).max()
+    mag = np.abs(state.coeffs[:, state.grades == 2]).max()
     assert np.abs(tr).max() < 1e-12 * mag
 
 
@@ -96,13 +95,13 @@ def test_sweep_is_linear_in_previous_coefficients(generic_sample):
     # with the material-derivative fields frozen, the sweep map is linear
     from regmom.iteration import time_derivative_fields
 
-    lay = MomentLayout(6, 3)
     rng = np.random.default_rng(8)
     base = maxwellian_iteration_state(generic_sample, max_order=6)
     materials = time_derivative_fields(base, generic_sample)
     pert_a = rng.normal(size=base.coeffs.shape) * 0.02
     pert_b = rng.normal(size=base.coeffs.shape) * 0.02
-    lock = lay.orders < 2
+    # conserved entries stay locked, and the dense array stays zero above M
+    lock = (base.grades < 2) | (base.grades > base.order)
     pert_a[:, lock] = 0.0
     pert_b[:, lock] = 0.0
 
@@ -123,24 +122,36 @@ def test_sweep_is_linear_in_previous_coefficients(generic_sample):
 def test_support_grows_three_orders_per_sweep(generic_sample):
     for n in (1, 2, 3):
         state = run_iteration(generic_sample, TAU, n, max_order=10)
-        beyond = state.layout.orders >= 1 + 3 * n
+        beyond = state.grades >= 1 + 3 * n
         assert np.all(state.coeffs[:, beyond] == 0.0)
 
 
 def test_leading_order_stops_changing(generic_sample):
     # once a moment's leading tau-power appears, further sweeps only add
     # higher powers: compare sweeps n and n+1 under tau halving
-    lay = MomentLayout(6, 3)
     for alpha in [(2, 0, 0), (3, 0, 0), (1, 2, 0)]:
-        k = lay.ordinal(alpha)
+        k = (slice(None),) + alpha
         diffs = []
         for tau in (4e-3, 2e-3):
-            a = run_iteration(generic_sample, tau, 2, max_order=6).coeffs[:, k]
-            b = run_iteration(generic_sample, tau, 3, max_order=6).coeffs[:, k]
+            a = run_iteration(generic_sample, tau, 2, max_order=6).coeffs[k]
+            b = run_iteration(generic_sample, tau, 3, max_order=6).coeffs[k]
             base = np.abs(a).max()
             diffs.append(np.abs(a - b).max() / base)
         # the inter-sweep difference is relatively O(tau): halves with tau
         assert diffs[1] < 0.65 * diffs[0]
+
+
+def magnitude_exponent(alpha, field, taus, sweeps=None, max_order=10, grid_n=64):
+    """(measured exponent, degenerate flag) for a single index."""
+    alpha = tuple(alpha)
+    if sweeps is None:
+        sweeps = max(1, math.ceil(sum(alpha) / 3))
+    rows = magnitude_table(field, taus, sweeps=sweeps, max_order=max_order,
+                           grid_n=grid_n)
+    for row in rows:
+        if row.alpha == alpha:
+            return row.measured, row.degenerate
+    raise ValueError(f"{alpha} has no relaxation-order prediction")
 
 
 def test_predicted_exponents():
@@ -182,8 +193,7 @@ def test_magnitude_law_is_lower_bound_on_exponent(generic_field):
 def test_magnitude_order_seven_zero_at_two_sweeps(generic_field):
     sample = generic_field.sample(64)
     state = run_iteration(sample, TAU, 2, max_order=8)
-    lay = state.layout
-    assert np.all(state.coeffs[:, lay.orders >= 7] == 0.0)
+    assert np.all(state.coeffs[:, state.grades >= 7] == 0.0)
 
 
 def test_nsf_first_sweep_exact(generic_field):
@@ -220,3 +230,53 @@ def test_degenerate_moment_is_flagged(generic_field):
     by_alpha = {r.alpha: r for r in rows}
     assert by_alpha[(0, 1, 5)].degenerate
     assert math.isnan(by_alpha[(0, 1, 5)].measured)
+
+
+@pytest.mark.parametrize("preset", ["generic-3d", "gentle-1d"])
+def test_magnitude_csv_matches_ordinal_layout_golden(preset, tmp_path):
+    """Output of the ordinal-layout iteration the dense array replaced, made by
+
+        regmom magnitude --preset <preset>
+
+    with default flags (stored as tests/data/magnitude_<preset>.csv).
+    """
+    from regmom.cli import main
+
+    out = tmp_path / "mag.csv"
+    assert main(["magnitude", "--preset", preset, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"magnitude_{preset}.csv").read_bytes()
+
+
+def test_magnitude_table_needs_two_distinct_taus(generic_field):
+    for taus in ([1e-2], [1e-2, 1e-2]):
+        with pytest.raises(ValueError, match="two distinct tau"):
+            magnitude_table(generic_field, taus, sweeps=1, max_order=4)
+
+
+def test_iteration_needs_order_three(generic_sample):
+    with pytest.raises(ValueError, match="max_order >= 3"):
+        maxwellian_iteration_state(generic_sample, max_order=2)
+
+
+def test_manufactured_field_rejects_nan_density():
+    from regmom.iteration import ManufacturedField
+    zero = lambda x: np.zeros_like(x)
+    field = ManufacturedField(
+        dim=1, rho=lambda x: np.where(x > 3.0, np.nan, 1.0), rho_x=zero,
+        u=(zero,), u_x=(zero,), theta=lambda x: np.ones_like(x), theta_x=zero)
+    with pytest.raises(ValueError, match="rho > 0"):
+        field.sample(16)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dense_layout_keeps_zeros_above_order(dim):
+    from regmom.iteration import ManufacturedField
+    field = ManufacturedField(
+        dim=dim, rho=lambda x: 1.0 + 0.1 * np.sin(x), rho_x=lambda x: 0.1 * np.cos(x),
+        u=tuple(lambda x, d=d: 0.1 * np.sin(x + d) for d in range(dim)),
+        u_x=tuple(lambda x, d=d: 0.1 * np.cos(x + d) for d in range(dim)),
+        theta=lambda x: 1.0 + 0.1 * np.cos(x), theta_x=lambda x: -0.1 * np.sin(x))
+    state = run_iteration(field.sample(32), TAU, 3, max_order=5)
+    assert state.coeffs.shape == (32,) + (6,) * dim
+    assert np.all(state.coeffs[:, state.grades > 5] == 0.0)
+    assert np.any(state.coeffs[:, state.grades == 5] != 0.0)

@@ -200,6 +200,13 @@ def test_cli_magnitude_subcommand(tmp_path):
     assert len(lines) > 4
 
 
+@pytest.mark.parametrize("flags", [["--tau-count", "1"], ["--mmax", "2"]])
+def test_cli_magnitude_rejects_unfit_arguments(flags, capsys):
+    # one tau gives no slope; order 2 carries no heat flux for the sweep
+    assert main(["magnitude", "--preset", "gentle-1d"] + flags) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_make_ref_caches(tmp_path):
     refdir = tmp_path / "refs"
     args = ["make-ref", "--scenario", "shock-tube", "--kn", "0.3",

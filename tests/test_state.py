@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from regmom.indices import AxisymmetricLayout, MomentLayout
+from regmom.indices import AxisymmetricLayout
+from regmom.iteration import _sigma_q1
 from regmom.state import (MacroState, UnphysicalStateError, conserved_from_coeffs,
                           constraint_residual, enforce_constraints,
-                          macro_from_conserved, maxwellian_coeffs, project_coeffs,
-                          reconstruct, sigma11_q1, sigma_q1, stress_heat)
+                          macro_from_conserved, project_coeffs, sigma11_q1)
 
 import oracles
-from oracles import (coeff_by_projection, expand_full, maxwellian_value,
-                     quad_stress_heat, raw_moment)
+from oracles import (MomentLayout, coeff_by_projection, expand_full,
+                     maxwellian_coeffs, quad_stress_heat, raw_moment, stress_heat)
 
 
 def random_state(order, dim, seed, scale=0.05):
@@ -45,26 +45,6 @@ def test_maxwellian_coeffs_examples():
     mac2 = MacroState(rho=1.0, u=[0.4, -0.2, 0.1], theta=2.0)
     c2 = maxwellian_coeffs(mac2, lay)
     assert c2[0] == 1.0 and np.all(c2[1:] == 0.0)
-
-
-def test_reconstruct_maxwellian_matches_closed_form():
-    lay = MomentLayout(5, 2)
-    mac = MacroState(rho=1.7, u=[0.3, -0.5], theta=1.4)
-    coeffs = maxwellian_coeffs(mac, lay)
-    rng = np.random.default_rng(1)
-    # peak value rho (2 pi theta)^{-D/2} at xi = u, plus random samples
-    assert reconstruct(lay, coeffs, mac, mac.u) == pytest.approx(
-        mac.rho / (2 * math.pi * mac.theta), rel=1e-12)
-    for _ in range(5):
-        xi = mac.u + rng.normal(size=2) * 1.5
-        assert reconstruct(lay, coeffs, mac, xi) == pytest.approx(
-            maxwellian_value(mac, xi), abs=1e-12)
-
-
-def test_reconstruct_zero_coefficients():
-    lay = MomentLayout(3, 1)
-    mac = MacroState(rho=1.0, u=[0.0], theta=1.0)
-    assert reconstruct(lay, np.zeros(lay.size), mac, [0.7]) == 0.0
 
 
 @pytest.mark.parametrize("order,dim", [(3, 1), (4, 2), (5, 3)])
@@ -125,11 +105,14 @@ def test_stress_heat_matches_quadrature(order, dim, seed):
 def test_sigma_q1_matches_stress_heat(dim):
     lay, mac, coeffs = random_state(4, dim, seed=9)
     sh = stress_heat(lay, coeffs, mac)
-    sig, q1 = sigma_q1(lay, coeffs)
-    assert sig.shape == (dim,)
+    dense = np.zeros((1,) + (lay.order + 1,) * dim)
+    for k, alpha in enumerate(lay.indices):
+        dense[(0,) + alpha] = coeffs[k]
+    sig, q1 = _sigma_q1(dense, dim)
+    assert sig.shape == (1, dim)
     for d in range(dim):
-        assert sig[d] == pytest.approx(sh.sigma[d, 0])
-    assert q1 == pytest.approx(sh.q[0])
+        assert sig[0, d] == pytest.approx(sh.sigma[d, 0])
+    assert q1[0] == pytest.approx(sh.q[0])
 
 
 def test_macro_from_conserved_examples():
