@@ -13,8 +13,6 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import dvm, iteration, output, scenarios, solver
 from .state import UnphysicalStateError
 

@@ -17,8 +17,9 @@ term needs f_beta at |beta| = M + 1.  Two closures are provided:
         f_beta = - tau theta sum_j d f_{beta-e_j} / dx_j.
 
 Coefficients with a negative index component are zero; spatial gradients are
-supplied by the caller (the solver uses finite differences), which keeps both
-closures pointwise.  Space is one-dimensional throughout (j = 1).
+supplied by the caller (the solver uses finite differences, at the top entries
+only), which keeps both closures pointwise.  Space is one-dimensional (j = 1).
+TopOrderClosure reads the solver's axisymmetric g[a, k, face], faces last.
 
 The stress subscript in the nonlinear expression is sigma_dj: the pair (d, j)
 runs over the double sum, which is the only reading under which the
@@ -28,12 +29,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .indices import AxisymmetricLayout
+from .indices import AxisymmetricLayout, lead
 
 
 class TopOrderClosure:
-    """Vectorized closure on axisymmetric coefficients g[..., a, k], one value per
-    (cell/face, top entry (a, k) = (M - 2k, k)).
+    """Vectorized closure on axisymmetric coefficients g[a, k, ...], one value per
+    (top entry (a, k) = (M - 2k, k), cell/face): batch axes trail, as in g.
 
     The closed index is beta = alpha + e_1 (indices with beta_1 = 0 never enter
     the 1D transport term).  Without transverse velocity sigma_d1 = 0 for d > 1,
@@ -51,24 +52,23 @@ class TopOrderClosure:
         """g_(a+da, k+dk) at each top entry; 0 where an index is negative."""
         a, k = self.a + da, self.k + dk
         ok = (a >= 0) & (k >= 0)
-        out = np.zeros(g.shape[:-2] + (a.size,))
-        out[..., ok] = g[..., a[ok], k[ok]]
+        out = np.zeros((a.size,) + g.shape[2:])
+        out[ok] = g[a[ok], k[ok]]
         return out
 
     def linear(self, theta, tau, dfdx):
-        """-tau theta dg/dx at each top entry; dfdx (..., M+1, K)."""
-        return -(tau * theta)[..., None] * dfdx[..., self.a, self.k]
+        """-tau theta dg/dx at each top entry; dfdx (n_top, ...) holds dg/dx there."""
+        return -(tau * theta) * dfdx
 
     def nonlinear(self, rho, theta, tau, p_x, g, dfdx, sigma11, q1):
         """Full nonlinear closure; sigma11 and q1 are the local moments."""
         D = self.layout.dim
-        val = tau[..., None] * (p_x[..., None] / rho[..., None] * g[..., self.a, self.k]
-                                - theta[..., None] * dfdx[..., self.a, self.k])
-        qfac = q1[..., None] / ((D + 2) * theta[..., None] * rho[..., None])
-        val += 0.5 * sigma11[..., None] * self._at(g, -1, 0) / rho[..., None]
-        val += qfac * (theta[..., None] * self._at(g, -2, 0)
-                       + self.beta1_plus1 * g[..., self.a, self.k])
+        g_top = g[self.a, self.k]
+        beta1_plus1 = lead(self.beta1_plus1, g_top)
+        val = tau * (p_x / rho * g_top - theta * dfdx)
+        qfac = q1 / ((D + 2) * theta * rho)
+        val += 0.5 * sigma11 * self._at(g, -1, 0) / rho
+        val += qfac * (theta * self._at(g, -2, 0) + beta1_plus1 * g_top)
         if D > 1:
-            val += qfac * (theta[..., None] * self._at(g, 0, -1)
-                           + self.beta1_plus1 * self._at(g, 2, -1))
+            val += qfac * (theta * self._at(g, 0, -1) + beta1_plus1 * self._at(g, 2, -1))
         return val

@@ -4,9 +4,9 @@ A moment set of order M in D velocity dimensions holds one coefficient per
 multi-index alpha in N^D with |alpha| <= M.  The Maxwell iteration stores them
 densely as f[..., alpha_1, ..., alpha_D] with trailing shape (M+1,)^D and zeros
 where |alpha| > M, so every shift alpha + delta is an array slice (``shifted``).
-The moment solver stores the reduced AxisymmetricLayout.  ``enumerate_indices``
-lists the set in graded lexicographic order: all indices of order n precede
-those of order n+1, and within one order they are sorted as tuples.
+The moment solver stores the reduced AxisymmetricLayout, g[a, k, cell].
+``enumerate_indices`` lists the set in graded lexicographic order: all indices
+of order n precede those of order n+1, and within one order they are sorted.
 """
 from __future__ import annotations
 
@@ -50,14 +50,16 @@ def shifted(f: np.ndarray, delta: tuple[int, ...]) -> np.ndarray:
 
 
 class AxisymmetricLayout:
-    """Coefficients g[a, k] of a distribution axisymmetric about the x_1 axis.
+    """Coefficients g[a, k, cell] of a distribution axisymmetric about the x_1 axis.
 
     With zero transverse velocity the full-layout coefficients are
     f_(a,2i,2j) = C(i+j, i) g_(a,i+j) for D = 3, f_(a,2k) = g_(a,k) for D = 2
     and f_a = g_(a,0) for D = 1; every one with an odd transverse index is 0.
-    g is dense with ``shape`` (order+1, order//2+1), or (order+1, 1) for D = 1,
-    and zero where the grade a + 2k exceeds the order, so every shift in a or
-    k is an array slice.  (top_a, top_k) are the entries of grade ``order``.
+    g leads with ``shape`` (order+1, order//2+1), or (order+1, 1) for D = 1,
+    is zero where the grade a + 2k exceeds the order, and keeps the cell (or
+    any other batch) axes last and contiguous, so every shift in a or k is an
+    array slice that runs along all cells at once.  (top_a, top_k) are the
+    entries of grade ``order``.
     """
 
     def __init__(self, order: int, dim: int):
@@ -70,6 +72,11 @@ class AxisymmetricLayout:
         self.mask = (self.grades <= order).astype(float)
         self.top_k = np.arange(self.shape[1])
         self.top_a = order - 2 * self.top_k
+
+
+def lead(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """v with unit axes appended, to broadcast over the trailing batch axes of g."""
+    return v.reshape(v.shape + (1,) * (g.ndim - v.ndim))
 
 
 def pad_zero(coeffs: np.ndarray) -> np.ndarray:

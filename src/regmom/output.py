@@ -43,7 +43,7 @@ def snapshot_columns(state, dump_coeffs: bool = False) -> dict[str, np.ndarray]:
     }
     if dump_coeffs:
         for a, k in zip(*np.nonzero(state.layout.mask)):
-            cols[f"g{a}_{k}"] = state.coeffs[:, a, k]
+            cols[f"g{a}_{k}"] = state.coeffs[a, k]
     return cols
 
 

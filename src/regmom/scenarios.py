@@ -15,7 +15,7 @@ Scenarios can also be loaded from flat ``key = value`` text files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

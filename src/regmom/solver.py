@@ -8,11 +8,14 @@ One time step is a Lie splitting of three substeps:
           F_(a,k) = theta g_(a-1,k) + u_1 g_(a,k) + (a+1) g_(a+1,k),
 
       the coefficient ladder of multiplication by xi_1 on the axisymmetric
-      coefficients g[cell, a, k] (indices.AxisymmetricLayout).  At each interface
-      both neighbor states are re-expanded in the shared arithmetic-mean
-      frame, a local Lax-Friedrichs flux is formed with wavespeed bound
-      |u_1| + c_{M+1} sqrt(theta) (c_{M+1} the largest Hermite root), and the
-      flux vector is re-expanded into each neighbor's frame for the update.
+      coefficients g[a, k, cell] (indices.AxisymmetricLayout; the cell axis
+      is last, so every ladder shift runs along all cells at once).  At each
+      interface both neighbor states are re-expanded in the shared
+      arithmetic-mean frame, a local Lax-Friedrichs flux is formed with
+      wavespeed bound |u_1| + c_{M+1} sqrt(theta) (c_{M+1} the largest Hermite
+      root), and the flux vector is re-expanded into each neighbor's frame
+      for the update.  The left and right sides of all interfaces go through
+      one projection and one flux call, and both back-projections through one.
       Re-expansion preserves the conserved moments, so mass, momentum and
       energy telescope exactly across interfaces.  After the update the cell
       frame is moved to match the new conserved moments.
@@ -23,9 +26,10 @@ One time step is a Lie splitting of three substeps:
       with coefficient (a+1) tau theta per coefficient.  The stiff
       diffusive core is integrated either explicitly (with the dt bound
       below) or by backward Euler ("implicit"); mode "auto" picks implicit
-      whenever diffusion, not advection, would limit the explicit step.  The
-      extra terms of the nonlinear closure are never stiff and are always
-      explicit.
+      whenever diffusion, not advection, would limit the explicit step; the
+      tridiagonal systems of all top entries are stacked block-diagonally and
+      solved in one banded call.  The extra terms of the nonlinear closure are
+      never stiff and are always explicit.
 
   (c) BGK relaxation, exact in the local frame: every coefficient of grade
       a + 2k >= 2 decays by exp(-dt/tau) in total; conserved moments are untouched.
@@ -48,12 +52,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermite import hermite_roots
-from .indices import AxisymmetricLayout
+from .indices import AxisymmetricLayout, lead
 from .indices import pad_zero  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 from .closure import TopOrderClosure
 from .scenarios import Scenario, TauModel, integrate
-from .state import (UnphysicalStateError, conserved_from_coeffs, enforce_constraints,
-                    macro_from_conserved, project_coeffs, sigma11_q1)
+from .state import (conserved_from_coeffs, enforce_constraints, macro_from_conserved,
+                    project_coeffs, sigma11_q1)
 
 
 class SolverBreakdown(RuntimeError):
@@ -128,7 +132,7 @@ class SimState:
     rho: np.ndarray      # (n,)
     u: np.ndarray        # (n, D)
     theta: np.ndarray    # (n,)
-    coeffs: np.ndarray   # (n, M+1, K), local-frame axisymmetric coefficients g
+    coeffs: np.ndarray   # (M+1, K, n), local-frame axisymmetric coefficients g
     t: float = 0.0
     steps: int = 0
     last_dt: float = 0.0
@@ -163,8 +167,8 @@ def make_state(scenario: Scenario, cfg: SolverConfig) -> SimState:
     if np.any(u[:, 1:]) or any(np.any(v) for v in ghost_u):
         raise ValueError("the axisymmetric layout needs zero transverse velocity "
                          "in the initial field and in the ghost states")
-    coeffs = np.zeros((n,) + layout.shape)
-    coeffs[:, 0, 0] = rho
+    coeffs = np.zeros(layout.shape + (n,))
+    coeffs[0, 0] = rho
     state = SimState(layout=layout, top=TopOrderClosure(layout), x=x, dx=dx,
                      rho=rho, u=u, theta=theta, coeffs=coeffs)
     state.boundary_account = np.zeros(cfg.dim + 2)
@@ -178,77 +182,88 @@ def flux_coefficients(layout: AxisymmetricLayout, g: np.ndarray, u1, theta) -> n
     theta g_(a-1,k) + u_1 g_(a,k) + (a+1) g_(a+1,k); the grade-(M+1)
     coefficients count as zero (Grad truncation).
     """
-    u1 = np.asarray(u1, dtype=float)[..., None, None]
-    theta = np.asarray(theta, dtype=float)[..., None, None]
-    F = u1 * g
-    F[..., 1:, :] += theta * g[..., :-1, :]
-    F[..., :-1, :] += np.arange(1.0, layout.order + 1)[:, None] * g[..., 1:, :]
-    F *= layout.mask
+    F = np.asarray(u1, dtype=float) * g
+    F[1:] += np.asarray(theta, dtype=float) * g[:-1]
+    F[:-1] += lead(np.arange(1.0, layout.order + 1), g) * g[1:]
+    F *= lead(layout.mask, g)
     return F
 
 
 def _extend(cfg: SolverConfig, rho, u, theta, coeffs):
-    """State arrays with one ghost cell on each side."""
+    """State arrays with one ghost cell on each side (coeffs: cells last)."""
     if cfg.boundary == "periodic":
-        sel_l, sel_r = -1, 0
-        rho_e = np.concatenate([rho[[sel_l]], rho, rho[[sel_r]]])
-        u_e = np.concatenate([u[[sel_l]], u, u[[sel_r]]], axis=0)
-        th_e = np.concatenate([theta[[sel_l]], theta, theta[[sel_r]]])
-        co_e = np.concatenate([coeffs[[sel_l]], coeffs, coeffs[[sel_r]]], axis=0)
-        return rho_e, u_e, th_e, co_e
+        ring = np.arange(-1, rho.size + 1) % rho.size
+        return rho[ring], u[ring], theta[ring], coeffs[..., ring]
     gl, gr = cfg.ghost_left, cfg.ghost_right
-    co_g = np.zeros((2,) + coeffs.shape[1:])
-    co_g[:, 0, 0] = gl[0], gr[0]
+    co_g = np.zeros(coeffs.shape[:-1] + (2,))
+    co_g[0, 0] = gl[0], gr[0]
     rho_e = np.concatenate([[gl[0]], rho, [gr[0]]])
     u_e = np.concatenate([np.asarray(gl[1], dtype=float)[None, :], u,
                           np.asarray(gr[1], dtype=float)[None, :]], axis=0)
     th_e = np.concatenate([[gl[2]], theta, [gr[2]]])
-    co_e = np.concatenate([co_g[:1], coeffs, co_g[1:]], axis=0)
+    co_e = np.concatenate([co_g[..., :1], coeffs, co_g[..., 1:]], axis=-1)
     return rho_e, u_e, th_e, co_e
 
 
+def _sides(x):
+    """x[..., :-1] and x[..., 1:], the two sides of each face, on a new axis -2."""
+    out = np.empty(x.shape[:-1] + (2, x.shape[-1] - 1))
+    out[..., 0, :], out[..., 1, :] = x[..., :-1], x[..., 1:]
+    return out
+
+
 def _solve_banded_tridiag(lower, diag, upper, rhs):
+    """Solve independent tridiagonal systems with one banded solve.
+
+    lower, diag, upper are (..., n): one system per leading index, with
+    lower[..., 0] and upper[..., -1] unused.  rhs is (..., n) or (..., n, m).
+    The systems are stacked block-diagonally with zero coupling between blocks.
+    """
     from scipy.linalg import solve_banded
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
+    ab = np.zeros((3,) + diag.shape)
+    ab[0, ..., 1:] = upper[..., :-1]
     ab[1] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+    ab[2, ..., :-1] = lower[..., 1:]
+    b = rhs.reshape((diag.size,) + rhs.shape[diag.ndim:])
+    return solve_banded((1, 1), ab.reshape(3, -1), b).reshape(rhs.shape)
 
 
 def _solve_cyclic_tridiag(lower, diag, upper, corner_tr, corner_bl, rhs):
-    """Sherman-Morrison reduction of a cyclic tridiagonal system."""
-    n = diag.shape[0]
-    gamma = -diag[0]
+    """Sherman-Morrison reduction of cyclic tridiagonal systems, batched as in
+    _solve_banded_tridiag with one corner pair (corner_tr, corner_bl) per system;
+    the correction vector rides along as one more right-hand-side column."""
+    gamma = -diag[..., 0]
     d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= corner_tr * corner_bl / gamma
-    y = _solve_banded_tridiag(lower, d, upper, rhs)
-    uvec = np.zeros(n)
-    uvec[0] = gamma
-    uvec[-1] = corner_bl
-    z = _solve_banded_tridiag(lower, d, upper, uvec)
-    vy = y[0] + corner_tr / gamma * y[-1]
-    vz = z[0] + corner_tr / gamma * z[-1]
-    return y - np.outer(z, np.atleast_1d(vy / (1.0 + vz))).reshape(y.shape)
+    d[..., 0] -= gamma
+    d[..., -1] -= corner_tr * corner_bl / gamma
+    uvec = np.zeros(diag.shape + (1,))
+    uvec[..., 0, 0], uvec[..., -1, 0] = gamma, corner_bl
+    both = np.concatenate([rhs.reshape(diag.shape + (-1,)), uvec], axis=-1)
+    sol = _solve_banded_tridiag(lower, d, upper, both)
+    y, z = sol[..., :-1], sol[..., -1:]                 # (..., n, m), (..., n, 1)
+    ratio = (corner_tr / gamma)[..., None]
+    vy = y[..., 0, :] + ratio * y[..., -1, :]
+    vz = z[..., 0, :] + ratio * z[..., -1, :]
+    return (y - z * (vy / (1.0 + vz))[..., None, :]).reshape(rhs.shape)
 
 
 def _regularize(cfg: SolverConfig, layout: AxisymmetricLayout, top: TopOrderClosure,
                 dx: float, dt: float, explicit: bool,
                 rho, u, theta, tau, coeffs) -> None:
     """Substep (b): apply the top-order closure as a flux on the grade a + 2k = M."""
+    top_a, top_k = layout.top_a, layout.top_k
     rho_e, u_e, th_e, co_e = _extend(cfg, rho, u, theta, coeffs)
-    dfdx = (co_e[1:] - co_e[:-1]) / dx                      # (n+1, M+1, K) face gradients
+    co_top = co_e[top_a, top_k]
+    dfdx = (co_top[:, 1:] - co_top[:, :-1]) / dx            # (n_top, n+1) face gradients
     rho_f = 0.5 * (rho_e[:-1] + rho_e[1:])
     th_f = 0.5 * (th_e[:-1] + th_e[1:])
     tau_f = cfg.tau_model.tau(cfg.kn, rho_f, th_f)
 
-    c_lin = top.linear(th_f, tau_f, dfdx)                   # (n+1, n_top)
+    c_lin = top.linear(th_f, tau_f, dfdx)                   # (n_top, n+1)
     if cfg.closure == "nonlinear":
         p_e = rho_e * th_e
         p_x = (p_e[1:] - p_e[:-1]) / dx
-        co_f = 0.5 * (co_e[:-1] + co_e[1:])
+        co_f = 0.5 * (co_e[..., :-1] + co_e[..., 1:])
         sig_cells, q1_cells = sigma11_q1(layout, co_e)
         sig_f = 0.5 * (sig_cells[:-1] + sig_cells[1:])
         q1_f = 0.5 * (q1_cells[:-1] + q1_cells[1:])
@@ -256,30 +271,29 @@ def _regularize(cfg: SolverConfig, layout: AxisymmetricLayout, top: TopOrderClos
     else:
         c_full = c_lin
 
-    top_a, top_k = layout.top_a, layout.top_k
+    rate = dt / dx * top.transport_factor[:, None]
     if explicit:
-        coeffs[:, top_a, top_k] -= dt / dx * top.transport_factor * (c_full[1:] - c_full[:-1])
+        coeffs[top_a, top_k] -= rate * (c_full[:, 1:] - c_full[:, :-1])
         return
 
     # Backward Euler on the diffusive core; the nonlinear remainder (if any)
     # is non-stiff and goes in explicitly first.
     if cfg.closure == "nonlinear":
         rest = c_full - c_lin
-        coeffs[:, top_a, top_k] -= dt / dx * top.transport_factor * (rest[1:] - rest[:-1])
+        coeffs[top_a, top_k] -= rate * (rest[:, 1:] - rest[:, :-1])
     kappa_f = tau_f * th_f                                   # (n+1,)
-    for a, k in zip(top_a, top_k):
-        g = dt * (a + 1) / dx**2
-        lower = -g * kappa_f[:-1]
-        upper = -g * kappa_f[1:]
-        diag = 1.0 + g * (kappa_f[:-1] + kappa_f[1:])
-        rhs = coeffs[:, a, k]
-        if cfg.boundary == "periodic":
-            # ghost faces coincide: corner couplings close the ring
-            sol = _solve_cyclic_tridiag(lower, diag, upper, lower[0], upper[-1], rhs)
-        else:
-            # far-field ghosts hold equilibrium: Dirichlet zero on the top grade
-            sol = _solve_banded_tridiag(lower, diag, upper, rhs)
-        coeffs[:, a, k] = sol
+    g = (dt * (top_a + 1) / dx**2)[:, None]                  # one system per top entry
+    lower = -g * kappa_f[:-1]
+    upper = -g * kappa_f[1:]
+    diag = 1.0 + g * (kappa_f[:-1] + kappa_f[1:])
+    rhs = coeffs[top_a, top_k]
+    if cfg.boundary == "periodic":
+        # ghost faces coincide: corner couplings close each ring
+        sol = _solve_cyclic_tridiag(lower, diag, upper, lower[:, 0], upper[:, -1], rhs)
+    else:
+        # far-field ghosts hold equilibrium: Dirichlet zero on the top grade
+        sol = _solve_banded_tridiag(lower, diag, upper, rhs)
+    coeffs[top_a, top_k] = sol
 
 
 def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> float:
@@ -301,31 +315,31 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     state.max_speed = float(lam.max())
 
     # --- (c) leading half of the relaxation --------------------------------
-    cols = (lay.grades >= 2) & (lay.grades <= lay.order)
-    state.coeffs[:, cols] *= np.exp(-0.5 * dt / tau)[:, None]
+    relaxed = lead((lay.grades >= 2) & (lay.grades <= lay.order), state.coeffs)
+    state.coeffs *= np.where(relaxed, np.exp(-0.5 * dt / tau), 1.0)
 
     # --- (a) hyperbolic transport in shared interface frames -------------
     rho_e, u_e, th_e, co_e = _extend(cfg, state.rho, state.u, state.theta, state.coeffs)
     u_f = 0.5 * (u_e[:-1] + u_e[1:])            # (n+1, D)
     th_f = 0.5 * (th_e[:-1] + th_e[1:])
-    gl = project_coeffs(lay, co_e[:-1], u_f[:, 0] - u_e[:-1, 0], th_f - th_e[:-1])
-    gr = project_coeffs(lay, co_e[1:], u_f[:, 0] - u_e[1:, 0], th_f - th_e[1:])
-    fl = flux_coefficients(lay, gl, u_f[:, 0], th_f)
-    fr = flux_coefficients(lay, gr, u_f[:, 0], th_f)
+    g_lr = project_coeffs(lay, _sides(co_e), u_f[:, 0] - _sides(u_e[:, 0]),
+                          th_f - _sides(th_e))
+    f_lr = flux_coefficients(lay, g_lr, u_f[:, 0], th_f)
     # substep (a) transports with the frozen interface-frame flux, a linear
     # system whose extreme characteristic speed is exactly this bound
     lam_f = np.abs(u_f[:, 0]) + c_top * np.sqrt(th_f)
-    phi = 0.5 * (fl + fr) - 0.5 * lam_f[:, None, None] * (gr - gl)
+    phi = (0.5 * (f_lr[:, :, 0] + f_lr[:, :, 1])
+           - 0.5 * lam_f * (g_lr[:, :, 1] - g_lr[:, :, 0]))
 
     # conserved fluxes through the domain boundaries, for the books
-    bm, bp, be = conserved_from_coeffs(lay, phi[[0, -1]], u_f[[0, -1]], th_f[[0, -1]])
+    bm, bp, be = conserved_from_coeffs(lay, phi[..., [0, -1]], u_f[[0, -1]], th_f[[0, -1]])
     bflux = np.concatenate([bm[:, None], bp, be[:, None]], axis=1)  # (2, D+2)
     state.boundary_account += dt * (bflux[0] - bflux[1])
 
-    phi_r = project_coeffs(lay, phi[1:], state.u[:, 0] - u_f[1:, 0], state.theta - th_f[1:])
-    phi_l = project_coeffs(lay, phi[:-1], state.u[:, 0] - u_f[:-1, 0],
-                           state.theta - th_f[:-1])
-    state.coeffs -= dt / dx * (phi_r - phi_l)
+    # the faces of each cell are its left (side 0) and right (side 1) neighbours
+    phi_lr = project_coeffs(lay, _sides(phi), state.u[:, 0] - _sides(u_f[:, 0]),
+                            state.theta - _sides(th_f))
+    state.coeffs -= dt / dx * (phi_lr[:, :, 1] - phi_lr[:, :, 0])
 
     # --- conserved recovery and frame move --------------------------------
     rho_new, mom, energy = conserved_from_coeffs(lay, state.coeffs, state.u,
@@ -348,7 +362,7 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
                 tau, state.coeffs)
 
     # --- (c) trailing half of the relaxation --------------------------------
-    state.coeffs[:, cols] *= np.exp(-0.5 * dt / tau)[:, None]
+    state.coeffs *= np.where(relaxed, np.exp(-0.5 * dt / tau), 1.0)
 
     state.t += dt
     state.steps += 1

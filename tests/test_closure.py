@@ -240,12 +240,13 @@ def test_top_order_closure_matches_pointwise():
         top = TopOrderClosure(lay)
         sh = stress_heat(full, f, mac)
         p_x = grads.rho_x * mac.theta + mac.rho * grads.theta_x
+        g_x_top = g_x[lay.top_a, lay.top_k][:, None]
         vals = top.nonlinear(np.array([mac.rho]), np.array([mac.theta]), np.array([0.17]),
-                             np.array([p_x]), g[None], g_x[None],
+                             np.array([p_x]), g[..., None], g_x_top,
                              np.array([sh.sigma[0, 0]]), np.array([sh.q[0]]))
-        lin = top.linear(np.array([mac.theta]), np.array([0.17]), g_x[None])
+        lin = top.linear(np.array([mac.theta]), np.array([0.17]), g_x_top)
         on_top = np.zeros((2,) + lay.shape)
-        on_top[:, lay.top_a, lay.top_k] = vals[0], lin[0]
+        on_top[:, lay.top_a, lay.top_k] = vals[:, 0], lin[:, 0]
         _, (vals_full, lin_full) = expand_full(lay, on_top)
         for n in np.flatnonzero(full.orders == order):
             alpha = full.unrank(n)

@@ -145,4 +145,4 @@ def test_scenario_initial_states_are_equilibrium():
     state = make_state(sc, cfg)
     sig, q1 = sigma11_q1(state.layout, state.coeffs)
     assert np.all(sig == 0.0) and np.all(q1 == 0.0)
-    assert np.all(state.coeffs[:, 0, 0] == state.rho)
+    assert np.all(state.coeffs[0, 0] == state.rho)

@@ -8,8 +8,8 @@ from regmom.indices import AxisymmetricLayout
 from regmom.output import read_csv, snapshot_columns
 from regmom.scenarios import Scenario, TauModel, shock_structure, shock_tube
 from regmom.solver import (SimState, SolverBreakdown, SolverConfig,
-                           flux_coefficients, make_state, run, step,
-                           _solve_cyclic_tridiag)
+                           flux_coefficients, make_state, run, step, _extend,
+                           _regularize, _solve_banded_tridiag, _solve_cyclic_tridiag)
 from regmom.state import MacroState, enforce_constraints
 
 from oracles import expand_full, raw_moment
@@ -198,7 +198,7 @@ def test_breakdown_reports_cell_and_time():
     state = make_state(sc, cfg)
     # sabotage one cell with a huge opposing heat-flux coefficient so the
     # transport update drives the internal energy negative
-    state.coeffs[10, 3, 0] = 1e4
+    state.coeffs[3, 0, 10] = 1e4
     with pytest.raises(SolverBreakdown) as err:
         for _ in range(50):
             step(state, cfg)
@@ -212,7 +212,7 @@ def test_nan_cell_raises_breakdown(mode):
     sc = shock_tube(kn=0.02)
     cfg = SolverConfig.from_scenario(sc, order=3, n_cells=32, diffusion=mode)
     state = make_state(sc, cfg)
-    state.rho[10] = state.coeffs[10, 0, 0] = np.nan
+    state.rho[10] = state.coeffs[0, 0, 10] = np.nan
     with pytest.raises(SolverBreakdown) as err:
         step(state, cfg)
     assert err.value.cell in (9, 10, 11)
@@ -272,6 +272,44 @@ def test_cyclic_tridiag_solver():
     assert np.abs(A @ got - rhs).max() < 1e-11
 
 
+@pytest.mark.parametrize("boundary", ["farfield", "periodic"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batched_top_solve_matches_per_entry_solves(boundary, dim):
+    # the implicit substep stacks one tridiagonal system per top entry into a
+    # single block-diagonal banded solve; it must give what separate solves give
+    if boundary == "farfield":
+        sc = shock_tube(kn=0.05, dim=dim)
+    else:
+        sc = periodic_scenario(dim)
+    cfg = SolverConfig.from_scenario(sc, order=5, n_cells=40, diffusion="implicit")
+    state = make_state(sc, cfg)
+    for _ in range(3):
+        step(state, cfg)
+    lay, dx, dt = state.layout, state.dx, 4.0 * state.last_dt
+    assert lay.top_a.size == (1 if dim == 1 else 3)
+    rho_e, _, th_e, _ = _extend(cfg, state.rho, state.u, state.theta, state.coeffs)
+    th_f = 0.5 * (th_e[:-1] + th_e[1:])
+    kappa_f = cfg.tau_model.tau(cfg.kn, 0.5 * (rho_e[:-1] + rho_e[1:]), th_f) * th_f
+    ref = state.coeffs.copy()
+    for a, k in zip(lay.top_a, lay.top_k):
+        g = dt * (a + 1) / dx**2
+        lower, upper = -g * kappa_f[:-1], -g * kappa_f[1:]
+        diag = 1.0 + g * (kappa_f[:-1] + kappa_f[1:])
+        if boundary == "periodic":
+            ref[a, k] = _solve_cyclic_tridiag(lower, diag, upper, lower[0], upper[-1], ref[a, k])
+        else:
+            ref[a, k] = _solve_banded_tridiag(lower, diag, upper, ref[a, k])
+    top = (lay.top_a, lay.top_k)
+    scale = np.abs(ref[top]).max()
+    assert np.abs(ref[top] - state.coeffs[top]).max() > 1e-3 * scale   # the solve acts
+    got = state.coeffs.copy()
+    tau = cfg.tau_model.tau(cfg.kn, state.rho, state.theta)
+    _regularize(cfg, lay, state.top, dx, dt, False, state.rho, state.u, state.theta, tau, got)
+    assert np.abs(got[top] - ref[top]).max() <= 1e-13 * scale
+    off = lay.grades != lay.order
+    assert np.array_equal(got[off], state.coeffs[off])
+
+
 def test_nsf_consistency_of_solver_stress():
     # smooth periodic run at low Kn: the state's sigma_11 tracks the
     # first-order law with deviation shrinking ~4x under Kn halving.
@@ -327,6 +365,28 @@ def test_shock_tube_matches_full_layout_golden(dim, steps):
     assert state.steps == steps and state.t == pytest.approx(0.3, abs=1e-15)
     ref = read_csv(DATA / f"full_layout_tube_m6_D{dim}.csv")
     got = snapshot_columns(state)
+    assert list(got) == list(ref)
+    for name, col in ref.items():
+        scale = np.abs(col).max()
+        tol = 1e-12 * scale if scale > 0 else 1e-14
+        assert np.abs(got[name] - col).max() <= tol, name
+
+
+def test_shock_structure_matches_golden():
+    """Output of the cell-first layout g[cell, a, k] that the cell-last one
+    replaced, for the linear closure, VHS and implicit diffusion: Mach 3, M = 3,
+    60 cells, t_stop = 2, written by ``write_snapshot(..., dump_coeffs=True)``
+    (tests/data/structure_mach3_m3.csv).
+    """
+    sc = shock_structure(3.0)
+    cfg = SolverConfig.from_scenario(sc, order=3, n_cells=60, closure="linear",
+                                     diffusion="implicit", t_stop=2.0)
+    assert cfg.tau_model.kind == "vhs"
+    state = make_state(sc, cfg)
+    run(state, cfg)
+    assert state.steps == 14 and state.t == pytest.approx(2.0, abs=1e-15)
+    ref = read_csv(DATA / "structure_mach3_m3.csv")
+    got = snapshot_columns(state, dump_coeffs=True)
     assert list(got) == list(ref)
     for name, col in ref.items():
         scale = np.abs(col).max()

@@ -240,8 +240,8 @@ def test_project_frame_general_state_preserves_raw_moments(dim):
 def test_project_coeffs_is_linear():
     lay = AxisymmetricLayout(6, 3)
     rng = np.random.default_rng(17)
-    a = rng.normal(size=(3,) + lay.shape) * lay.mask
-    b = rng.normal(size=(3,) + lay.shape) * lay.mask
+    a = np.moveaxis(rng.normal(size=(3,) + lay.shape) * lay.mask, 0, -1)
+    b = np.moveaxis(rng.normal(size=(3,) + lay.shape) * lay.mask, 0, -1)
     du1 = np.array([0.3, -0.2, 0.1])
     dth = np.array([0.4, -0.1, 0.2])
     lhs = project_coeffs(lay, 2.0 * a + 3.0 * b, du1, dth)
