@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import dvm, iteration, output, scenarios, solver
@@ -31,7 +31,6 @@ class RunManifest:
     closure: str
     tau: str
     omega: float
-    diffusion: str
     deterministic: bool = True
 
 
@@ -67,16 +66,17 @@ def _coerce(parser, dest, text):
 
 def cmd_run(args) -> int:
     scenario = _scenario_from_args(args)
-    tau_model = (scenario.tau_model if args.tau is None
-                 else scenarios.TauModel(args.tau, omega=args.omega))
+    if args.tau is not None:
+        scenario = replace(scenario,
+                           tau_model=scenarios.TauModel(args.tau, omega=args.omega))
     cfg = solver.SolverConfig.from_scenario(
         scenario, order=args.order, n_cells=args.cells, cfl=args.cfl,
-        closure=args.closure, diffusion=args.diffusion, tau_model=tau_model)
+        closure=args.closure)
     state = solver.make_state(scenario, cfg)
     manifest = RunManifest(
         scenario=args.scenario, kn=scenario.kn, mach=args.mach, order=args.order,
         dim=args.dim, n_cells=cfg.n_cells, cfl=args.cfl, closure=args.closure,
-        tau=tau_model.kind, omega=args.omega, diffusion=args.diffusion)
+        tau=scenario.tau_model.kind, omega=args.omega)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -112,7 +112,8 @@ def cmd_make_ref(args) -> int:
     tag = f"{args.scenario}_kn{scenario.kn:g}"
     if args.mach is not None:
         tag += f"_m{args.mach:g}"
-    tag += f"_nx{cfg.n_cells}_nv{cfg.n_v}"
+    tag += (f"_D{scenario.dim}_nx{cfg.n_cells}_nv{cfg.n_v}_vmax{cfg.v_max:g}"
+            f"_cfl{cfg.cfl:g}_w{scenario.tau_model.omega:g}")
     path = refdir / f"dvm_{tag}.csv"
     record_path = path.with_suffix(".json")
     if path.exists() and not args.force:
@@ -124,9 +125,11 @@ def cmd_make_ref(args) -> int:
         return 0
     t0 = time.perf_counter()
     state, grid = dvm.dvm_run(scenario, cfg)
-    record = {"config": asdict(cfg), "t": state.t, "steps": state.steps,
-              "residual": state.residual, "converged": state.converged,
-              "wall_time_s": time.perf_counter() - t0}
+    physics = {"dim": scenario.dim, "kn": scenario.kn, "tau": scenario.tau_model.kind,
+               "omega": scenario.tau_model.omega, "mach": args.mach}
+    record = {"scenario": physics, "config": asdict(cfg), "t": state.t,
+              "steps": state.steps, "residual": state.residual,
+              "converged": state.converged, "wall_time_s": time.perf_counter() - t0}
     if not state.converged:
         print(_not_converged(record), file=sys.stderr)
     output.write_columns(path, dvm.dvm_moments(state, grid))
@@ -192,8 +195,6 @@ def build_parser():
     p_run.add_argument("--closure", default="linear", choices=("linear", "nonlinear"))
     p_run.add_argument("--tau", default=None, choices=("kn-over-rho", "vhs"),
                        help="relaxation-time model (default: the scenario's)")
-    p_run.add_argument("--diffusion", default="auto",
-                       choices=("auto", "explicit", "implicit"))
     p_run.add_argument("--dump-coeffs", action="store_true",
                        help="append one column g<a>_<k> per axisymmetric coefficient")
     p_run.add_argument("--out", default="out", help="output directory")

@@ -1,12 +1,12 @@
 """Discrete-velocity BGK reference solver on a 1-D mesh.
 
-Velocity space is a uniform symmetric grid; for three velocity dimensions the
-transverse directions are integrated out into the reduced pair
+Velocity space is a uniform symmetric grid; for D > 1 velocity dimensions the
+D - 1 transverse directions xi_t are integrated out into the reduced pair
 
-    g(v) = int f dxi_2 dxi_3,      h(v) = int (xi_2^2 + xi_3^2) f dxi_2 dxi_3,
+    g(v) = int f dxi_t,      h(v) = int |xi_t|^2 f dxi_t,
 
 both of which satisfy the same transport-relaxation equation with reduced
-Maxwellians (h_M = 2 theta g_M).  For one dimension g is the full
+Maxwellians (h_M = (D - 1) theta g_M).  For D = 1, g is the full
 distribution and h is absent.
 
 The scheme is first-order upwind transport plus pointwise exact-exponential
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenarios import Scenario, TauModel, integrate
+from .scenarios import Scenario, check_mesh, integrate
 from .state import UnphysicalStateError
 
 
@@ -44,27 +44,30 @@ class VelocityGrid:
 
 @dataclass
 class DVMConfig:
+    """Numerical parameters of a reference run; the physics is the Scenario's."""
+
     n_cells: int
     n_v: int
     v_max: float
-    kn: float
-    tau_model: TauModel
-    dim: int
     cfl: float = 0.95
-    boundary: str = "farfield"
     t_stop: float | None = None
     steady_tol: float | None = None
     t_max: float = 400.0
 
+    def __post_init__(self):
+        check_mesh(self.n_cells, self.cfl)
+        if self.n_v < 2:
+            raise ValueError(f"need at least two velocity nodes, got {self.n_v}")
+        if not self.v_max > 0.0:
+            raise ValueError(f"v_max must be positive, got {self.v_max}")
+
     @classmethod
-    def from_scenario(cls, scenario: Scenario, n_cells: int, n_v: int = 200,
+    def from_scenario(cls, scenario: Scenario, n_cells: int | None = None, n_v: int = 200,
                       v_max: float | None = None, **overrides) -> "DVMConfig":
-        if v_max is None:
-            v_max = suggested_v_max(scenario)
-        kw = dict(n_cells=n_cells, n_v=n_v, v_max=v_max, kn=scenario.kn,
-                  tau_model=scenario.tau_model, dim=scenario.dim,
-                  boundary=scenario.boundary, t_stop=scenario.t_stop,
-                  steady_tol=scenario.steady_tol, t_max=scenario.t_max)
+        kw = dict(n_cells=scenario.default_cells if n_cells is None else n_cells,
+                  n_v=n_v, v_max=suggested_v_max(scenario) if v_max is None else v_max,
+                  t_stop=scenario.t_stop, steady_tol=scenario.steady_tol,
+                  t_max=scenario.t_max)
         kw.update(overrides)
         return cls(**kw)
 
@@ -81,15 +84,19 @@ def suggested_v_max(scenario: Scenario) -> float:
 
 @dataclass
 class DVMState:
+    scenario: Scenario       # physics, domain and far fields of the run
     x: np.ndarray
     dx: float
-    dim: int
     g: np.ndarray            # (n, n_v)
-    h: np.ndarray | None     # transverse energy density, dim == 3 only
+    h: np.ndarray | None     # transverse energy density, dim > 1 only
     t: float = 0.0
     steps: int = 0
     residual: float = math.inf
     converged: bool = False
+
+    @property
+    def dim(self) -> int:
+        return self.scenario.dim
 
 
 def discrete_maxwellian(grid: VelocityGrid, rho, u1, theta, dim: int,
@@ -119,19 +126,15 @@ def discrete_maxwellian(grid: VelocityGrid, rho, u1, theta, dim: int,
     mat = np.empty(rho.shape + (3, 3))
     mat[..., 0, 0], mat[..., 0, 1], mat[..., 0, 2] = s[0], s[1], s[2]
     mat[..., 1, 0], mat[..., 1, 1], mat[..., 1, 2] = s[1], s[2], s[3]
-    if dim == 3:
-        # energy row picks up the transverse part through h_M = 2 theta g_M
-        mat[..., 2, 0] = 0.5 * (s[2] + 2.0 * theta * s[0])
-        mat[..., 2, 1] = 0.5 * (s[3] + 2.0 * theta * s[1])
-        mat[..., 2, 2] = 0.5 * (s[4] + 2.0 * theta * s[2])
-    else:
-        mat[..., 2, 0], mat[..., 2, 1], mat[..., 2, 2] = 0.5 * s[2], 0.5 * s[3], 0.5 * s[4]
+    for j in range(3):
+        # the energy row picks up the transverse part through h_M = (D-1) theta g_M
+        mat[..., 2, j] = 0.5 * (s[j + 2] + (dim - 1) * theta * s[j])
     rhs = np.stack([rho, rho * u1, energy], axis=-1)
     abc = np.linalg.solve(mat, rhs[..., None])[..., 0]
     gm *= abc @ grid.powers[:, :3].T
-    if dim != 3:
+    if dim == 1:
         return gm, None
-    h = np.multiply(2.0 * theta[:, None], gm, out=out_h)
+    h = np.multiply((dim - 1) * theta[:, None], gm, out=out_h)
     return gm, h
 
 
@@ -141,7 +144,7 @@ def _conserved(state: DVMState, grid: VelocityGrid):
     rho = smat[:, 0]
     u1 = smat[:, 1] / rho
     energy = 0.5 * smat[:, 2]
-    if state.dim == 3:
+    if state.h is not None:
         energy = energy + 0.5 * state.h.sum(axis=1) * grid.dv
     theta = (2.0 * energy - rho * u1**2) / (state.dim * rho)
     return rho, u1, theta
@@ -155,7 +158,7 @@ def dvm_moments(state: DVMState, grid: VelocityGrid) -> dict[str, np.ndarray]:
     c = v[None, :] - u1[:, None]
     sigma11 = (g * c**2).sum(axis=1) * dv - rho * theta
     q1 = 0.5 * (g * c**3).sum(axis=1) * dv
-    if state.dim == 3:
+    if state.h is not None:
         q1 = q1 + 0.5 * (state.h * c).sum(axis=1) * dv
     return {"x": state.x, "rho": rho, "u1": u1, "theta": theta,
             "sigma11": sigma11, "q1": q1}
@@ -166,19 +169,17 @@ def make_dvm_state(scenario: Scenario, cfg: DVMConfig, grid: VelocityGrid) -> DV
     dx = (scenario.x_hi - scenario.x_lo) / n
     x = scenario.x_lo + (np.arange(n) + 0.5) * dx
     rho = np.asarray(scenario.rho0(x), dtype=float)
-    u1 = np.asarray(scenario.u0(x), dtype=float).reshape(n, cfg.dim)[:, 0]
+    u1 = np.asarray(scenario.u0(x), dtype=float).reshape(n, scenario.dim)[:, 0]
     theta = np.asarray(scenario.theta0(x), dtype=float)
-    g, h = discrete_maxwellian(grid, rho, u1, theta, cfg.dim)
-    return DVMState(x=x, dx=dx, dim=cfg.dim, g=g, h=h)
+    g, h = discrete_maxwellian(grid, rho, u1, theta, scenario.dim)
+    return DVMState(scenario=scenario, x=x, dx=dx, g=g, h=h)
 
 
-def _ghosts(cfg: DVMConfig, scenario: Scenario, grid: VelocityGrid):
-    gl, gr = scenario.far_fields
-    g0, h0 = discrete_maxwellian(grid, gl[0], np.asarray(gl[1]).reshape(-1)[0],
-                                 gl[2], cfg.dim)
-    g1, h1 = discrete_maxwellian(grid, gr[0], np.asarray(gr[1]).reshape(-1)[0],
-                                 gr[2], cfg.dim)
-    return (g0, h0), (g1, h1)
+def _ghosts(scenario: Scenario, grid: VelocityGrid):
+    """Discrete Maxwellians of the two far-field states."""
+    return tuple(discrete_maxwellian(grid, rho, np.asarray(u).reshape(-1)[0], theta,
+                                     scenario.dim)
+                 for rho, u, theta in scenario.far_fields)
 
 
 class _Scratch:
@@ -188,7 +189,7 @@ class _Scratch:
         self.ext = np.empty((n + 2, n_v))
         self.flux = np.empty((n + 1, n_v))
         self.gm = np.empty((n, n_v))
-        self.hm = np.empty((n, n_v)) if dim == 3 else None
+        self.hm = np.empty((n, n_v)) if dim > 1 else None
 
 
 def _transport(arr, ghost_l, ghost_r, v, dt_dx, periodic: bool, scratch: _Scratch):
@@ -217,7 +218,8 @@ def dvm_step(state: DVMState, cfg: DVMConfig, grid: VelocityGrid,
     dt = cfg.cfl * state.dx / grid.v_max
     if dt_limit is not None:
         dt = min(dt, dt_limit)
-    periodic = cfg.boundary == "periodic"
+    sc = state.scenario
+    periodic = sc.boundary == "periodic"
     if not periodic and ghosts is None:
         raise ValueError("far-field boundary needs ghost distributions")
     if scratch is None:
@@ -225,21 +227,21 @@ def dvm_step(state: DVMState, cfg: DVMConfig, grid: VelocityGrid,
     (g_l, h_l), (g_r, h_r) = ghosts if ghosts is not None else ((None, None),) * 2
     v = grid.v
     state.g = _transport(state.g, g_l, g_r, v, dt / state.dx, periodic, scratch)
-    if state.dim == 3:
+    if state.h is not None:
         state.h = _transport(state.h, h_l, h_r, v, dt / state.dx, periodic, scratch)
 
-    if math.isfinite(cfg.kn):
+    if math.isfinite(sc.kn):
         rho, u1, theta = _conserved(state, grid)
         bad = ~(rho > 0.0) | ~(theta > 0.0)     # NaN counts as bad
         if bad.any():
             raise UnphysicalStateError(
                 f"non-positive or NaN density or temperature after transport "
                 f"(cell {int(np.argmax(bad))}, t = {state.t:.6g})")
-        tau = np.asarray(cfg.tau_model.tau(cfg.kn, rho, theta))
+        tau = np.asarray(sc.tau_model.tau(sc.kn, rho, theta))
         gm, hm = discrete_maxwellian(grid, rho, u1, theta, state.dim,
                                      out_g=scratch.gm, out_h=scratch.hm)
         decay = np.exp(-dt / tau)[:, None]
-        for arr, maxw in ((state.g, gm), (state.h, hm)) if state.dim == 3 \
+        for arr, maxw in ((state.g, gm), (state.h, hm)) if state.h is not None \
                 else ((state.g, gm),):
             arr -= maxw
             arr *= decay
@@ -254,8 +256,8 @@ def dvm_run(scenario: Scenario, cfg: DVMConfig) -> tuple[DVMState, VelocityGrid]
     """Integrate a scenario to t_stop or to a steady density profile."""
     grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
     state = make_dvm_state(scenario, cfg, grid)
-    ghosts = None if cfg.boundary == "periodic" else _ghosts(cfg, scenario, grid)
-    scratch = _Scratch(cfg.n_cells, cfg.n_v, cfg.dim)
+    ghosts = None if scenario.boundary == "periodic" else _ghosts(scenario, grid)
+    scratch = _Scratch(cfg.n_cells, cfg.n_v, scenario.dim)
     integrate(state, cfg, lambda limit: dvm_step(state, cfg, grid, ghosts=ghosts,
                                                  dt_limit=limit, scratch=scratch),
               lambda: state.g.sum(axis=1) * grid.dv)

@@ -48,7 +48,7 @@ class TauModel:
 
 @dataclass
 class Scenario:
-    """Initial fields, domain, stop rule and physical parameters of a run."""
+    """Initial fields, domain, boundary, stop rule and physical parameters of a run."""
 
     name: str
     dim: int
@@ -65,6 +65,20 @@ class Scenario:
     t_max: float = 400.0
     default_cells: int = 200
     far_fields: tuple | None = None             # ((rho,u vec,theta), (rho,u vec,theta))
+
+    def __post_init__(self):
+        if self.boundary not in ("farfield", "periodic"):
+            raise ValueError(f"unknown boundary {self.boundary!r}")
+        if self.boundary == "farfield" and self.far_fields is None:
+            raise ValueError("far-field boundary needs far-field states")
+
+
+def check_mesh(n_cells: int, cfl: float) -> None:
+    """The checks both solvers' configs make on their mesh and CFL number."""
+    if n_cells < 1:
+        raise ValueError(f"need at least one cell, got {n_cells}")
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError(f"CFL must lie in (0, 1], got {cfl}")
 
 
 STEADY_INTERVAL = 1.0    # time between the density checkpoints of a steady search

@@ -23,13 +23,13 @@ One time step is a Lie splitting of three substeps:
   (b) top-order regularization.  The closure value for the order-(M+1)
       coefficients enters only through (a+1) d g_(a+1,k) / dx on the top
       retained grade a + 2k = M; with the linear closure this is a diffusion
-      with coefficient (a+1) tau theta per coefficient.  The stiff
-      diffusive core is integrated either explicitly (with the dt bound
-      below) or by backward Euler ("implicit"); mode "auto" picks implicit
-      whenever diffusion, not advection, would limit the explicit step; the
-      tridiagonal systems of all top entries are stacked block-diagonally and
-      solved in one banded call.  The extra terms of the nonlinear closure are
-      never stiff and are always explicit.
+      with coefficient (a+1) tau theta per coefficient.  Stiffness picks how
+      the diffusive core is integrated: explicitly when its stable step
+      dx^2 / (2 max (M+1) tau theta) is at least the advective dx / max
+      wavespeed, otherwise by backward Euler, with the tridiagonal systems
+      of all top entries stacked block-diagonally and solved in one banded
+      call.  The extra terms of the nonlinear closure are never stiff and
+      are always explicit.
 
   (c) BGK relaxation, exact in the local frame: every coefficient of grade
       a + 2k >= 2 decays by exp(-dt/tau) in total; conserved moments are untouched.
@@ -39,8 +39,7 @@ One time step is a Lie splitting of three substeps:
       transport-limit deviation the acceptance checks measure, while the
       bracketed form leaves only an O((dt/tau)^2) bias.
 
-The explicit time step is dt = CFL * min(dx / max wavespeed,
-dx^2 / (2 max (M+1) tau theta)); the implicit mode drops the second bound.
+The time step is dt = CFL * dx / max wavespeed in either case.
 Breakdown (non-positive or NaN density or temperature after recovery)
 raises, with the offending cell and time; no limiter masks it.
 """
@@ -55,7 +54,7 @@ from .hermite import hermite_roots
 from .indices import AxisymmetricLayout, lead
 from .indices import pad_zero  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 from .closure import TopOrderClosure
-from .scenarios import Scenario, TauModel, integrate
+from .scenarios import Scenario, check_mesh, integrate
 from .state import (conserved_from_coeffs, enforce_constraints, macro_from_conserved,
                     project_coeffs, sigma11_q1)
 
@@ -71,52 +70,30 @@ class SolverBreakdown(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Numerical parameters of a run."""
+    """Numerical parameters of a run; the physics is the Scenario's."""
 
     order: int
-    dim: int
     n_cells: int
-    x_lo: float
-    x_hi: float
-    kn: float
-    tau_model: TauModel
     cfl: float = 0.95
     closure: str = "linear"        # or "nonlinear"
-    boundary: str = "farfield"     # or "periodic"
-    diffusion: str = "auto"        # "explicit" | "implicit" | "auto"
     t_stop: float | None = None
     steady_tol: float | None = None
     t_max: float = 400.0
-    ghost_left: tuple | None = None    # (rho, u vec, theta)
-    ghost_right: tuple | None = None
 
     def __post_init__(self):
         if self.order < 3:
             raise ValueError(f"moment order must be >= 3, got {self.order}")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"CFL must lie in (0, 1], got {self.cfl}")
+        check_mesh(self.n_cells, self.cfl)
         if self.closure not in ("linear", "nonlinear"):
             raise ValueError(f"unknown closure {self.closure!r}")
-        if self.diffusion not in ("auto", "explicit", "implicit"):
-            raise ValueError(f"unknown diffusion mode {self.diffusion!r}")
-        if self.boundary not in ("farfield", "periodic"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
-        if self.boundary == "farfield" and (self.ghost_left is None or self.ghost_right is None):
-            raise ValueError("far-field boundary needs ghost states")
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, order: int, n_cells: int | None = None,
                       **overrides) -> "SolverConfig":
-        kw = dict(
-            order=order, dim=scenario.dim,
-            n_cells=scenario.default_cells if n_cells is None else n_cells,
-            x_lo=scenario.x_lo, x_hi=scenario.x_hi, kn=scenario.kn,
-            tau_model=scenario.tau_model, boundary=scenario.boundary,
-            t_stop=scenario.t_stop, steady_tol=scenario.steady_tol,
-            t_max=scenario.t_max,
-        )
-        if scenario.far_fields is not None:
-            kw["ghost_left"], kw["ghost_right"] = scenario.far_fields
+        kw = dict(order=order,
+                  n_cells=scenario.default_cells if n_cells is None else n_cells,
+                  t_stop=scenario.t_stop, steady_tol=scenario.steady_tol,
+                  t_max=scenario.t_max)
         kw.update(overrides)
         return cls(**kw)
 
@@ -125,6 +102,7 @@ class SolverConfig:
 class SimState:
     """Per-cell frames and coefficients on a uniform mesh, plus diagnostics."""
 
+    scenario: Scenario   # physics, domain and far fields of the run
     layout: AxisymmetricLayout
     top: TopOrderClosure     # closure offsets of the layout's top grade
     x: np.ndarray
@@ -156,22 +134,22 @@ class SimState:
 
 def make_state(scenario: Scenario, cfg: SolverConfig) -> SimState:
     """Equilibrium initial state: cell-centered macro fields, Maxwellian coefficients."""
-    layout = AxisymmetricLayout(cfg.order, cfg.dim)
+    layout = AxisymmetricLayout(cfg.order, scenario.dim)
     n = cfg.n_cells
-    dx = (cfg.x_hi - cfg.x_lo) / n
-    x = cfg.x_lo + (np.arange(n) + 0.5) * dx
+    dx = (scenario.x_hi - scenario.x_lo) / n
+    x = scenario.x_lo + (np.arange(n) + 0.5) * dx
     rho = np.asarray(scenario.rho0(x), dtype=float)
-    u = np.asarray(scenario.u0(x), dtype=float).reshape(n, cfg.dim)
+    u = np.asarray(scenario.u0(x), dtype=float).reshape(n, scenario.dim)
     theta = np.asarray(scenario.theta0(x), dtype=float)
-    ghost_u = [np.asarray(gh[1])[1:] for gh in (cfg.ghost_left, cfg.ghost_right) if gh]
+    ghost_u = [np.asarray(gh[1])[1:] for gh in scenario.far_fields or ()]
     if np.any(u[:, 1:]) or any(np.any(v) for v in ghost_u):
         raise ValueError("the axisymmetric layout needs zero transverse velocity "
                          "in the initial field and in the ghost states")
     coeffs = np.zeros(layout.shape + (n,))
     coeffs[0, 0] = rho
-    state = SimState(layout=layout, top=TopOrderClosure(layout), x=x, dx=dx,
-                     rho=rho, u=u, theta=theta, coeffs=coeffs)
-    state.boundary_account = np.zeros(cfg.dim + 2)
+    state = SimState(scenario=scenario, layout=layout, top=TopOrderClosure(layout),
+                     x=x, dx=dx, rho=rho, u=u, theta=theta, coeffs=coeffs)
+    state.boundary_account = np.zeros(scenario.dim + 2)
     return state
 
 
@@ -189,12 +167,12 @@ def flux_coefficients(layout: AxisymmetricLayout, g: np.ndarray, u1, theta) -> n
     return F
 
 
-def _extend(cfg: SolverConfig, rho, u, theta, coeffs):
+def _extend(scenario: Scenario, rho, u, theta, coeffs):
     """State arrays with one ghost cell on each side (coeffs: cells last)."""
-    if cfg.boundary == "periodic":
+    if scenario.boundary == "periodic":
         ring = np.arange(-1, rho.size + 1) % rho.size
         return rho[ring], u[ring], theta[ring], coeffs[..., ring]
-    gl, gr = cfg.ghost_left, cfg.ghost_right
+    gl, gr = scenario.far_fields
     co_g = np.zeros(coeffs.shape[:-1] + (2,))
     co_g[0, 0] = gl[0], gr[0]
     rho_e = np.concatenate([[gl[0]], rho, [gr[0]]])
@@ -247,17 +225,18 @@ def _solve_cyclic_tridiag(lower, diag, upper, corner_tr, corner_bl, rhs):
     return (y - z * (vy / (1.0 + vz))[..., None, :]).reshape(rhs.shape)
 
 
-def _regularize(cfg: SolverConfig, layout: AxisymmetricLayout, top: TopOrderClosure,
-                dx: float, dt: float, explicit: bool,
-                rho, u, theta, tau, coeffs) -> None:
-    """Substep (b): apply the top-order closure as a flux on the grade a + 2k = M."""
+def _regularize(state: SimState, cfg: SolverConfig, dt: float, explicit: bool,
+                tau, coeffs) -> None:
+    """Substep (b): apply the top-order closure as a flux on the grade a + 2k = M
+    of ``coeffs``, in the state's frames."""
+    sc, layout, top, dx = state.scenario, state.layout, state.top, state.dx
     top_a, top_k = layout.top_a, layout.top_k
-    rho_e, u_e, th_e, co_e = _extend(cfg, rho, u, theta, coeffs)
+    rho_e, u_e, th_e, co_e = _extend(sc, state.rho, state.u, state.theta, coeffs)
     co_top = co_e[top_a, top_k]
     dfdx = (co_top[:, 1:] - co_top[:, :-1]) / dx            # (n_top, n+1) face gradients
     rho_f = 0.5 * (rho_e[:-1] + rho_e[1:])
     th_f = 0.5 * (th_e[:-1] + th_e[1:])
-    tau_f = cfg.tau_model.tau(cfg.kn, rho_f, th_f)
+    tau_f = sc.tau_model.tau(sc.kn, rho_f, th_f)
 
     c_lin = top.linear(th_f, tau_f, dfdx)                   # (n_top, n+1)
     if cfg.closure == "nonlinear":
@@ -287,7 +266,7 @@ def _regularize(cfg: SolverConfig, layout: AxisymmetricLayout, top: TopOrderClos
     upper = -g * kappa_f[1:]
     diag = 1.0 + g * (kappa_f[:-1] + kappa_f[1:])
     rhs = coeffs[top_a, top_k]
-    if cfg.boundary == "periodic":
+    if sc.boundary == "periodic":
         # ghost faces coincide: corner couplings close each ring
         sol = _solve_cyclic_tridiag(lower, diag, upper, lower[:, 0], upper[:, -1], rhs)
     else:
@@ -298,18 +277,18 @@ def _regularize(cfg: SolverConfig, layout: AxisymmetricLayout, top: TopOrderClos
 
 def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> float:
     """Advance the state by one time step in place; returns dt taken."""
-    lay = state.layout
+    sc, lay = state.scenario, state.layout
     D = lay.dim
     dx = state.dx
 
     c_top = hermite_roots(cfg.order + 1)[-1]
     lam = np.abs(state.u[:, 0]) + c_top * np.sqrt(state.theta)
-    tau = np.asarray(cfg.tau_model.tau(cfg.kn, state.rho, state.theta), dtype=float)
+    tau = np.asarray(sc.tau_model.tau(sc.kn, state.rho, state.theta), dtype=float)
     dt_adv = dx / lam.max()
     kappa_max = (cfg.order + 1) * float((tau * state.theta).max())
-    dt_diff = 0.5 * dx**2 / kappa_max
-    explicit = cfg.diffusion == "explicit" or (cfg.diffusion == "auto" and dt_diff >= dt_adv)
-    dt = cfg.cfl * (min(dt_adv, dt_diff) if explicit else dt_adv)
+    # diffusion is integrated explicitly exactly when it is not stiff
+    explicit = 0.5 * dx**2 / kappa_max >= dt_adv
+    dt = cfg.cfl * dt_adv
     if dt_limit is not None:
         dt = min(dt, dt_limit)
     state.max_speed = float(lam.max())
@@ -319,7 +298,7 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     state.coeffs *= np.where(relaxed, np.exp(-0.5 * dt / tau), 1.0)
 
     # --- (a) hyperbolic transport in shared interface frames -------------
-    rho_e, u_e, th_e, co_e = _extend(cfg, state.rho, state.u, state.theta, state.coeffs)
+    rho_e, u_e, th_e, co_e = _extend(sc, state.rho, state.u, state.theta, state.coeffs)
     u_f = 0.5 * (u_e[:-1] + u_e[1:])            # (n+1, D)
     th_f = 0.5 * (th_e[:-1] + th_e[1:])
     g_lr = project_coeffs(lay, _sides(co_e), u_f[:, 0] - _sides(u_e[:, 0]),
@@ -357,9 +336,8 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     state.rho, state.u, state.theta = rho_new, u_new, th_new
 
     # --- (b) top-order regularization -------------------------------------
-    tau = np.asarray(cfg.tau_model.tau(cfg.kn, state.rho, state.theta), dtype=float)
-    _regularize(cfg, lay, state.top, dx, dt, explicit, state.rho, state.u, state.theta,
-                tau, state.coeffs)
+    tau = np.asarray(sc.tau_model.tau(sc.kn, state.rho, state.theta), dtype=float)
+    _regularize(state, cfg, dt, explicit, tau, state.coeffs)
 
     # --- (c) trailing half of the relaxation --------------------------------
     state.coeffs *= np.where(relaxed, np.exp(-0.5 * dt / tau), 1.0)

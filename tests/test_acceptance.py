@@ -206,7 +206,7 @@ def test_criterion_4_nsf_limit():
         state = make_state(sc, cfg)
         run(state, cfg)
         sig, q1 = sigma11_q1(state.layout, state.coeffs)
-        tau = cfg.tau_model.tau(kn, state.rho, state.theta)
+        tau = sc.tau_model.tau(kn, state.rho, state.theta)
         mu = tau * state.rho * state.theta
         sig_ref = -(4.0 / 3.0) * mu * fd4(state.u[:, 0], state.dx)
         q_ref = -2.5 * mu * fd4(state.theta, state.dx)

@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from regmom.dvm import (DVMConfig, DVMState, VelocityGrid, _conserved,
+from regmom.dvm import (DVMConfig, DVMState, VelocityGrid, _conserved, _ghosts,
                         discrete_maxwellian, dvm_moments, dvm_run, dvm_step,
                         make_dvm_state, suggested_v_max)
 from regmom.hermite import he_table
-from regmom.scenarios import Scenario, TauModel, shock_structure, shock_tube
+from regmom.scenarios import shock_structure, shock_tube
 from regmom.state import MacroState, UnphysicalStateError
 
 from oracles import MomentLayout, enforce_constraints, stress_heat
@@ -17,25 +18,41 @@ def total_mass(state: DVMState, grid: VelocityGrid) -> float:
     return float(state.g.sum() * grid.dv * state.dx)
 
 
-def test_corrected_maxwellian_moments_exact():
+def periodic(dim=3, kn=0.1):
+    """The physics of a state made by hand: a periodic shock-tube gas."""
+    return replace(shock_tube(kn=kn, dim=dim), boundary="periodic", far_fields=None)
+
+
+def test_config_validation():
+    DVMConfig(n_cells=1, n_v=2, v_max=1.0, cfl=1.0)
+    for bad in (dict(n_cells=0), dict(cfl=0.0), dict(cfl=1.5), dict(n_v=1),
+                dict(v_max=0.0), dict(v_max=-3.0)):
+        with pytest.raises(ValueError):
+            DVMConfig(**{"n_cells": 8, "n_v": 10, "v_max": 5.0, **bad})
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_corrected_maxwellian_moments_exact(dim):
     grid = VelocityGrid.make(120, 10.0)
     rho = np.array([7.0, 1.0, 2.5])
     u1 = np.array([0.0, 0.4, -0.6])
     theta = np.array([1.0, 1.3, 0.7])
-    for dim in (1, 3):
-        g, h = discrete_maxwellian(grid, rho, u1, theta, dim)
-        state = DVMState(x=np.zeros(3), dx=1.0, dim=dim, g=g, h=h)
-        r, u, th = _conserved(state, grid)
-        assert np.abs(r - rho).max() < 1e-12 * rho.max()
-        assert np.abs(u - u1).max() < 1e-12
-        assert np.abs(th - theta).max() < 1e-12
+    g, h = discrete_maxwellian(grid, rho, u1, theta, dim)
+    state = DVMState(scenario=periodic(dim), x=np.zeros(3), dx=1.0, g=g, h=h)
+    mom = dvm_moments(state, grid)
+    assert np.abs(mom["rho"] - rho).max() < 1e-12 * rho.max()
+    assert np.abs(mom["u1"] - u1).max() < 1e-12
+    assert np.abs(mom["theta"] - theta).max() < 1e-12
+    # the longitudinal variance is theta: an equilibrium carries no stress
+    assert np.abs(mom["sigma11"]).max() < 1e-12 * rho.max()
+    assert np.abs(mom["q1"]).max() < 1e-8
 
 
 def test_discrete_maxwellian_stress_heat_vanish():
     grid = VelocityGrid.make(160, 12.0)
     g, h = discrete_maxwellian(grid, np.array([2.0]), np.array([0.3]),
                                np.array([1.4]), 3)
-    state = DVMState(x=np.zeros(1), dx=1.0, dim=3, g=g, h=h)
+    state = DVMState(scenario=periodic(3), x=np.zeros(1), dx=1.0, g=g, h=h)
     mom = dvm_moments(state, grid)
     assert abs(mom["sigma11"][0]) < 1e-8
     assert abs(mom["q1"][0]) < 1e-8
@@ -65,10 +82,9 @@ def test_equilibrium_state_is_invariant():
     sc.theta0 = lambda x: np.full_like(np.asarray(x, float), 1.2)
     sc.far_fields = ((2.0, np.zeros(3), 1.2), (2.0, np.zeros(3), 1.2))
     cfg = DVMConfig.from_scenario(sc, n_cells=32, n_v=80, v_max=10.0)
-    from regmom.dvm import _ghosts
     grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
     state = make_dvm_state(sc, cfg, grid)
-    ghosts = _ghosts(cfg, sc, grid)
+    ghosts = _ghosts(sc, grid)
     g0 = state.g.copy()
     for _ in range(10):
         dvm_step(state, cfg, grid, ghosts=ghosts)
@@ -76,23 +92,21 @@ def test_equilibrium_state_is_invariant():
 
 
 def test_nan_cell_raises_unphysical():
-    from regmom.dvm import _ghosts
     sc = shock_tube()
     cfg = DVMConfig.from_scenario(sc, n_cells=32, n_v=40, v_max=10.0)
     grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
     state = make_dvm_state(sc, cfg, grid)
     state.g[10] = np.nan
     with pytest.raises(UnphysicalStateError):
-        dvm_step(state, cfg, grid, ghosts=_ghosts(cfg, sc, grid))
+        dvm_step(state, cfg, grid, ghosts=_ghosts(sc, grid))
 
 
 def test_breakdown_names_first_bad_cell_and_time():
-    from regmom.dvm import _ghosts
     sc = shock_tube()
     cfg = DVMConfig.from_scenario(sc, n_cells=32, n_v=40, v_max=10.0)
     grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
     state = make_dvm_state(sc, cfg, grid)
-    ghosts = _ghosts(cfg, sc, grid)
+    ghosts = _ghosts(sc, grid)
     dvm_step(state, cfg, grid, ghosts=ghosts)
     t = state.t
     state.g[12] = np.nan            # upwind transport spreads it to cells 11 and 13
@@ -129,10 +143,8 @@ def test_free_transport_translates_bump():
     grid = VelocityGrid.make(nv, 2.0)
     bump = np.exp(-0.5 * ((x - 0.3) / 0.04) ** 2)
     g = np.tile(bump[:, None], (1, nv))
-    state = DVMState(x=x, dx=1.0 / n, dim=1, g=g, h=None)
-    cfg = DVMConfig(n_cells=n, n_v=nv, v_max=2.0, kn=math.inf,
-                    tau_model=TauModel("kn-over-rho"), dim=1,
-                    boundary="periodic")
+    state = DVMState(scenario=periodic(1, kn=math.inf), x=x, dx=1.0 / n, g=g, h=None)
+    cfg = DVMConfig(n_cells=n, n_v=nv, v_max=2.0)
     t_end = 0.21
     while state.t < t_end - 1e-12:
         dvm_step(state, cfg, grid, dt_limit=t_end - state.t)
@@ -149,15 +161,12 @@ def test_free_transport_translates_bump():
 
 def test_periodic_mass_conserved_per_step():
     n, nv = 64, 40
-    sc = shock_tube()
     grid = VelocityGrid.make(nv, 10.0)
     x = np.linspace(0.0, 1.0, n, endpoint=False)
     rho = 1.0 + 0.3 * np.sin(2 * math.pi * x)
     g, h = discrete_maxwellian(grid, rho, 0.2 * np.ones(n), np.ones(n), 3)
-    state = DVMState(x=x, dx=1.0 / n, dim=3, g=g, h=h)
-    cfg = DVMConfig(n_cells=n, n_v=nv, v_max=10.0, kn=0.1,
-                    tau_model=TauModel("kn-over-rho"), dim=3,
-                    boundary="periodic")
+    state = DVMState(scenario=periodic(3), x=x, dx=1.0 / n, g=g, h=h)
+    cfg = DVMConfig(n_cells=n, n_v=nv, v_max=10.0)
     m0 = total_mass(state, grid)
     for _ in range(25):
         prev = total_mass(state, grid)
@@ -178,14 +187,10 @@ def test_relaxation_conserves_all_three_moments():
     # corrected Maxwellian leaves the conserved moments untouched
     g = g * (1.0 + 0.05 * np.sin(grid.v)[None, :])
     h = h * (1.0 - 0.03 * np.cos(grid.v)[None, :])
-    state = DVMState(x=np.zeros(n), dx=1.0, dim=3, g=g, h=h)
+    state = DVMState(scenario=periodic(3), x=np.zeros(n), dx=1.0, g=g, h=h)
     before = np.stack(_conserved(state, grid))
-    cfg = DVMConfig(n_cells=n, n_v=nv, v_max=10.0, kn=0.05,
-                    tau_model=TauModel("kn-over-rho"), dim=3,
-                    boundary="periodic")
     # zero transport: single cell row repeated periodically is not uniform,
     # so run the relaxation directly
-    from regmom.dvm import _Scratch
     rho2, u2, th2 = _conserved(state, grid)
     gm, hm = discrete_maxwellian(grid, rho2, u2, th2, 3)
     decay = 0.3
@@ -221,7 +226,8 @@ def test_dvm_moments_match_hermite_expansion():
             h += 2.0 * mac.theta * base
         elif (alpha[1], alpha[2]) in ((2, 0), (0, 2)):
             h += 2.0 * base  # int xi_t^2 (transverse degree-2 factor) = 2
-    state = DVMState(x=np.zeros(1), dx=1.0, dim=3, g=g[None, :], h=h[None, :])
+    state = DVMState(scenario=periodic(3), x=np.zeros(1), dx=1.0, g=g[None, :],
+                     h=h[None, :])
     mom = dvm_moments(state, grid)
     sh = stress_heat(lay, coeffs, mac)
     assert mom["rho"][0] == pytest.approx(mac.rho, rel=1e-10)

@@ -80,10 +80,10 @@ def test_hermite_roots_interlace_and_speed():
     r4 = hermite_roots(4)
     assert r4[-1] == pytest.approx(2.3344142183389773, abs=1e-12)
     # the moment solver bounds its wavespeeds at order M by |u1| + c sqrt(theta),
-    # c the largest root of He_{M+1}; with implicit diffusion dt = cfl dx / bound
+    # c the largest root of He_{M+1}; the step is dt = cfl dx / bound
     sc = shock_tube(kn=0.5)
     sc.u0 = lambda x: np.zeros((np.asarray(x).size, 3)) + np.array([-1.0, 0.0, 0.0])
     sc.theta0 = lambda x: np.full_like(np.asarray(x, float), 4.0)
-    cfg = SolverConfig.from_scenario(sc, order=3, n_cells=20, diffusion="implicit")
+    cfg = SolverConfig.from_scenario(sc, order=3, n_cells=20)
     state = make_state(sc, cfg)
     assert step(state, cfg) == pytest.approx(cfg.cfl * state.dx / (1.0 + 2 * r4[-1]))

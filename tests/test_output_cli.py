@@ -106,7 +106,7 @@ def test_cli_run_default_tau_is_the_scenario_model(monkeypatch, tmp_path):
     used = []
 
     def no_solve(state, cfg):
-        used.append(cfg.tau_model.kind)
+        used.append(state.scenario.tau_model.kind)
         return state
 
     monkeypatch.setattr(cli.solver, "run", no_solve)
@@ -219,6 +219,28 @@ def test_cli_make_ref_caches(tmp_path):
     assert files[0].stat().st_mtime_ns == stamp
     data = read_csv(files[0])
     assert "rho" in data and data["x"].size == 64
+
+
+def test_cli_make_ref_cache_key_covers_dimension(tmp_path, capsys):
+    # without --cells the reference takes the scenario's default mesh
+    refdir = tmp_path / "refs"
+    args = ["make-ref", "--scenario", "shock-tube", "--kn", "0.3", "--nv", "40",
+            "--out", str(refdir)]
+    assert main(args + ["--D", "3"]) == 0
+    assert main(args + ["--D", "1"]) == 0
+    assert "cached" not in capsys.readouterr().out
+    files = sorted(refdir.glob("dvm_*.csv"))
+    assert len(files) == 2 and read_csv(files[0])["x"].size == 200
+    records = [json.loads(p.read_text()) for p in sorted(refdir.glob("dvm_*.json"))]
+    assert sorted(r["scenario"]["dim"] for r in records) == [1, 3]
+
+
+@pytest.mark.parametrize("argv", [["run", "--cells", "0"], ["make-ref", "--cells", "0"],
+                                  ["run", "--cfl", "1.5"], ["make-ref", "--cfl", "0"],
+                                  ["make-ref", "--nv", "1"], ["make-ref", "--vmax", "-3"]])
+def test_cli_rejects_unfit_numerics(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_make_ref_cache_hit_reports_run_record(monkeypatch, tmp_path, capsys):
