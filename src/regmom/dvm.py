@@ -91,7 +91,7 @@ class DVMState:
     h: np.ndarray | None     # transverse energy density, dim > 1 only
     t: float = 0.0
     steps: int = 0
-    residual: float = math.inf
+    residual: float | None = None   # measured only by a steady search
     converged: bool = False
 
     @property

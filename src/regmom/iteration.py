@@ -253,41 +253,6 @@ def magnitude_table(field: ManufacturedField, taus: Sequence[float],
     return rows
 
 
-@dataclass
-class NSFReport:
-    sigma_dev: float   # max relative deviation of sigma_{i1} from the limit law
-    q_dev: float       # same for q_1
-    scale: float
-
-
-def nsf_check(field: ManufacturedField, tau: float, sweeps: int = 2,
-              max_order: int = 6, grid_n: int = 64) -> NSFReport:
-    """Compare sweep-``sweeps`` stress/heat flux with the first-order laws.
-
-    After one sweep the match is exact; further sweeps add O(tau^2), so the
-    deviation must shrink by ~4 under tau halving.
-    """
-    sample = field.sample(grid_n)
-    state = run_iteration(sample, tau, sweeps, max_order)
-    D = field.dim
-    sig, q1 = _sigma_q1(state.coeffs, D)
-    mu = tau * sample.rho * sample.theta
-    sig_ref = np.empty_like(sig)
-    for i in range(D):
-        dev = 0.5 * ((i == 0) * sample.u_x[:, i] + sample.u_x[:, i])
-        if i == 0:
-            dev -= sample.u_x[:, 0] / D
-        sig_ref[:, i] = -2.0 * mu * dev
-    q_ref = -0.5 * (D + 2) * mu * sample.theta_x
-    # tau-free scale, so the deviation keeps both of its tau powers
-    scale = float((sample.rho * sample.theta).max())
-    return NSFReport(
-        sigma_dev=float(np.abs(sig - sig_ref).max() / scale),
-        q_dev=float(np.abs(q1 - q_ref).max() / scale),
-        scale=scale,
-    )
-
-
 def _sin(a, w, p):
     return lambda x: a * np.sin(w * x + p)
 

@@ -185,13 +185,6 @@ def shock_structure(mach: float, kn: float = 1.0, omega: float = 0.72,
     )
 
 
-def normalize_density(rho: np.ndarray, rho_left: float, rho_right: float) -> np.ndarray:
-    """Affine map sending the far-field densities to 0 and 1."""
-    if rho_left == rho_right:
-        raise ValueError("far-field densities must differ")
-    return (np.asarray(rho, dtype=float) - rho_left) / (rho_right - rho_left)
-
-
 BUILTIN_SCENARIOS = ("shock-tube", "shock-structure")
 
 

@@ -1,8 +1,10 @@
 """1-D finite-volume integrator for the regularized moment system.
 
-One time step is a Lie splitting of three substeps:
+Each cell's frame is (rho, u_1, theta): every scenario the solver accepts has
+zero transverse velocity, so the frame arithmetic carries u_1 alone, one
+value per cell or face.  One time step is a Lie splitting of three substeps:
 
-  (a) hyperbolic transport.  In a frame with fixed (u, theta) the moment
+  (a) hyperbolic transport.  In a frame with fixed (u_1, theta) the moment
       system is conservative with per-coefficient flux
 
           F_(a,k) = theta g_(a-1,k) + u_1 g_(a,k) + (a+1) g_(a+1,k),
@@ -40,8 +42,9 @@ One time step is a Lie splitting of three substeps:
       bracketed form leaves only an O((dt/tau)^2) bias.
 
 The time step is dt = CFL * dx / max wavespeed in either case.
-Breakdown (non-positive or NaN density or temperature after recovery)
-raises, with the offending cell and time; no limiter masks it.
+The step tests positivity once, after the conserved recovery of (a): a
+non-positive or NaN density or temperature raises SolverBreakdown with the
+offending cell and time; no limiter masks it.
 """
 from __future__ import annotations
 
@@ -108,7 +111,7 @@ class SimState:
     x: np.ndarray
     dx: float
     rho: np.ndarray      # (n,)
-    u: np.ndarray        # (n, D)
+    u: np.ndarray        # (n, D): u_1, then transverse columns that stay 0
     theta: np.ndarray    # (n,)
     coeffs: np.ndarray   # (M+1, K, n), local-frame axisymmetric coefficients g
     t: float = 0.0
@@ -117,7 +120,7 @@ class SimState:
     dt_min: float = math.inf
     dt_max: float = 0.0
     max_speed: float = 0.0
-    residual: float = math.inf
+    residual: float | None = None   # measured only by a steady search
     converged: bool = False
     boundary_account: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
@@ -167,18 +170,17 @@ def flux_coefficients(layout: AxisymmetricLayout, g: np.ndarray, u1, theta) -> n
     return F
 
 
-def _extend(scenario: Scenario, rho, u, theta, coeffs):
+def _extend(scenario: Scenario, rho, u1, theta, coeffs):
     """State arrays with one ghost cell on each side (coeffs: cells last)."""
     if scenario.boundary == "periodic":
         ring = np.arange(-1, rho.size + 1) % rho.size
-        return rho[ring], u[ring], theta[ring], coeffs[..., ring]
-    gl, gr = scenario.far_fields
+        return rho[ring], u1[ring], theta[ring], coeffs[..., ring]
+    (rl, ul, tl), (rr, ur, tr) = scenario.far_fields
     co_g = np.zeros(coeffs.shape[:-1] + (2,))
-    co_g[0, 0] = gl[0], gr[0]
-    rho_e = np.concatenate([[gl[0]], rho, [gr[0]]])
-    u_e = np.concatenate([np.asarray(gl[1], dtype=float)[None, :], u,
-                          np.asarray(gr[1], dtype=float)[None, :]], axis=0)
-    th_e = np.concatenate([[gl[2]], theta, [gr[2]]])
+    co_g[0, 0] = rl, rr
+    rho_e = np.concatenate([[rl], rho, [rr]])
+    u_e = np.concatenate([[ul[0]], u1, [ur[0]]])
+    th_e = np.concatenate([[tl], theta, [tr]])
     co_e = np.concatenate([co_g[..., :1], coeffs, co_g[..., 1:]], axis=-1)
     return rho_e, u_e, th_e, co_e
 
@@ -231,7 +233,7 @@ def _regularize(state: SimState, cfg: SolverConfig, dt: float, explicit: bool,
     of ``coeffs``, in the state's frames."""
     sc, layout, top, dx = state.scenario, state.layout, state.top, state.dx
     top_a, top_k = layout.top_a, layout.top_k
-    rho_e, u_e, th_e, co_e = _extend(sc, state.rho, state.u, state.theta, coeffs)
+    rho_e, _, th_e, co_e = _extend(sc, state.rho, state.u[:, 0], state.theta, coeffs)
     co_top = co_e[top_a, top_k]
     dfdx = (co_top[:, 1:] - co_top[:, :-1]) / dx            # (n_top, n+1) face gradients
     rho_f = 0.5 * (rho_e[:-1] + rho_e[1:])
@@ -278,11 +280,11 @@ def _regularize(state: SimState, cfg: SolverConfig, dt: float, explicit: bool,
 def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> float:
     """Advance the state by one time step in place; returns dt taken."""
     sc, lay = state.scenario, state.layout
-    D = lay.dim
     dx = state.dx
+    u1 = state.u[:, 0]
 
     c_top = hermite_roots(cfg.order + 1)[-1]
-    lam = np.abs(state.u[:, 0]) + c_top * np.sqrt(state.theta)
+    lam = np.abs(u1) + c_top * np.sqrt(state.theta)
     tau = np.asarray(sc.tau_model.tau(sc.kn, state.rho, state.theta), dtype=float)
     dt_adv = dx / lam.max()
     kappa_max = (cfg.order + 1) * float((tau * state.theta).max())
@@ -298,42 +300,39 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     state.coeffs *= np.where(relaxed, np.exp(-0.5 * dt / tau), 1.0)
 
     # --- (a) hyperbolic transport in shared interface frames -------------
-    rho_e, u_e, th_e, co_e = _extend(sc, state.rho, state.u, state.theta, state.coeffs)
-    u_f = 0.5 * (u_e[:-1] + u_e[1:])            # (n+1, D)
+    rho_e, u_e, th_e, co_e = _extend(sc, state.rho, u1, state.theta, state.coeffs)
+    u_f = 0.5 * (u_e[:-1] + u_e[1:])
     th_f = 0.5 * (th_e[:-1] + th_e[1:])
-    g_lr = project_coeffs(lay, _sides(co_e), u_f[:, 0] - _sides(u_e[:, 0]),
-                          th_f - _sides(th_e))
-    f_lr = flux_coefficients(lay, g_lr, u_f[:, 0], th_f)
+    g_lr = project_coeffs(lay, _sides(co_e), u_f - _sides(u_e), th_f - _sides(th_e))
+    f_lr = flux_coefficients(lay, g_lr, u_f, th_f)
     # substep (a) transports with the frozen interface-frame flux, a linear
     # system whose extreme characteristic speed is exactly this bound
-    lam_f = np.abs(u_f[:, 0]) + c_top * np.sqrt(th_f)
+    lam_f = np.abs(u_f) + c_top * np.sqrt(th_f)
     phi = (0.5 * (f_lr[:, :, 0] + f_lr[:, :, 1])
            - 0.5 * lam_f * (g_lr[:, :, 1] - g_lr[:, :, 0]))
 
-    # conserved fluxes through the domain boundaries, for the books
-    bm, bp, be = conserved_from_coeffs(lay, phi[..., [0, -1]], u_f[[0, -1]], th_f[[0, -1]])
-    bflux = np.concatenate([bm[:, None], bp, be[:, None]], axis=1)  # (2, D+2)
-    state.boundary_account += dt * (bflux[0] - bflux[1])
+    # (mass, momentum_1, energy) fluxes through the domain boundaries, for the
+    # books; the transverse momentum fluxes are 0
+    ends = [0, -1]
+    bflux = np.stack(conserved_from_coeffs(lay, phi[..., ends], u_f[ends], th_f[ends]))
+    state.boundary_account[[0, 1, -1]] += dt * (bflux[:, 0] - bflux[:, 1])
 
     # the faces of each cell are its left (side 0) and right (side 1) neighbours
-    phi_lr = project_coeffs(lay, _sides(phi), state.u[:, 0] - _sides(u_f[:, 0]),
-                            state.theta - _sides(th_f))
+    phi_lr = project_coeffs(lay, _sides(phi), u1 - _sides(u_f), state.theta - _sides(th_f))
     state.coeffs -= dt / dx * (phi_lr[:, :, 1] - phi_lr[:, :, 0])
 
-    # --- conserved recovery and frame move --------------------------------
-    rho_new, mom, energy = conserved_from_coeffs(lay, state.coeffs, state.u,
-                                                 state.theta)
-    internal = energy - 0.5 * (mom * mom).sum(axis=1) / rho_new
-    bad = ~(rho_new > 0.0) | ~(internal > 0.0)     # NaN counts as bad
+    # --- conserved recovery and frame move: the step's positivity test ----
+    rho_new, m1, energy = conserved_from_coeffs(lay, state.coeffs, u1, state.theta)
+    u1_new, th_new = macro_from_conserved(rho_new, m1, energy, lay.dim)
+    bad = ~(rho_new > 0.0) | ~(th_new > 0.0)     # NaN counts as bad
     if bad.any():
-        cell = int(np.argmax(bad))
         raise SolverBreakdown("non-positive or NaN density or temperature after "
-                              "transport", cell, state.t)
-    u_new, th_new = macro_from_conserved(rho_new, mom, energy, dim=D)
-    state.coeffs = project_coeffs(lay, state.coeffs, u_new[:, 0] - state.u[:, 0],
-                                  th_new - state.theta)
+                              "transport", int(np.argmax(bad)), state.t)
+    state.coeffs = project_coeffs(lay, state.coeffs, u1_new - u1, th_new - state.theta)
     enforce_constraints(lay, state.coeffs, rho_new)
-    state.rho, state.u, state.theta = rho_new, u_new, th_new
+    state.rho, state.theta = rho_new, th_new
+    state.u = np.zeros_like(state.u)
+    state.u[:, 0] = u1_new
 
     # --- (b) top-order regularization -------------------------------------
     tau = np.asarray(sc.tau_model.tau(sc.kn, state.rho, state.theta), dtype=float)

@@ -5,15 +5,16 @@ The distribution it represents is
 
     f(xi) = sum_alpha f_alpha H_{theta,alpha}((xi - u)/sqrt(theta)).
 
-The moment solver's frames have zero transverse velocity, so the functions
-here take the coefficients g[a, k, ...] of an AxisymmetricLayout, batch axes
-(cells, faces, interface sides) last.  Low-order coefficients are pinned by
-the frame: g_00 = rho, g_10 = 0 and g_20 + (D-1) g_01 = sum_d f_{2e_d} = 0
-whenever (u, theta) match the conserved moments.
+The moment solver's frames have zero transverse velocity, so a frame here is
+(rho, u_1, theta), each an array shaped like the batch axes, and the
+functions take the coefficients g[a, k, ...] of an AxisymmetricLayout, batch
+axes (cells, faces, interface sides) last.  Low-order coefficients are
+pinned by the frame: g_00 = rho, g_10 = 0 and g_20 + (D-1) g_01 =
+sum_d f_{2e_d} = 0 whenever (u_1, theta) match the conserved moments.
+Nothing here checks positivity: ``solver.step`` tests rho > 0 and theta > 0
+once, after ``macro_from_conserved``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,67 +26,26 @@ class UnphysicalStateError(ValueError):
     """Conserved variables with no positive-(rho, theta) macro state."""
 
 
-@dataclass
-class MacroState:
-    """Frame parameters of the expansion: density, velocity, temperature."""
-
-    rho: float
-    u: np.ndarray
-    theta: float
-
-    def __post_init__(self):
-        self.u = np.atleast_1d(np.asarray(self.u, dtype=float))
-        if not (self.rho > 0.0 and self.theta > 0.0):      # NaN fails the test
-            raise UnphysicalStateError(
-                f"need rho > 0 and theta > 0, got rho={self.rho}, theta={self.theta}")
-
-    @property
-    def dim(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def pressure(self) -> float:
-        return self.rho * self.theta
-
-
-def conserved_from_coeffs(layout: AxisymmetricLayout, g: np.ndarray,
-                          u: np.ndarray, theta: np.ndarray):
-    """(rho, momentum, energy) of the axisymmetric expansion in frame (u, theta).
+def conserved_from_coeffs(layout: AxisymmetricLayout, g: np.ndarray, u1, theta):
+    """(rho, m_1, E) of the axisymmetric expansion in frame (u_1, theta).
 
     Exact linear functionals of the coefficients:
         rho = g_00
-        m   = u g_00 + g_10 e_1
-        E   = (|u|^2 g_00 + 2 u_1 g_10 + D theta g_00 + 2 (g_20 + (D-1) g_01)) / 2
-    Vectorized: g (M+1, K, ...), u (..., D), theta (...).
+        m_1 = u_1 g_00 + g_10
+        E   = (u_1^2 g_00 + 2 u_1 g_10 + D theta g_00 + 2 (g_20 + (D-1) g_01)) / 2
+    The transverse momenta are 0.  Vectorized: g (M+1, K, ...), u1 and theta (...).
     """
     g00, g10 = g[0, 0], g[1, 0]
-    mom = u * g00[..., None]
-    mom[..., 0] += g10
-    energy = 0.5 * ((u * u).sum(axis=-1) * g00 + 2.0 * u[..., 0] * g10
+    energy = 0.5 * (u1 * u1 * g00 + 2.0 * u1 * g10
                     + layout.dim * theta * g00 + 2.0 * _trace(layout, g))
-    return g00, mom, energy
+    return g00, u1 * g00 + g10, energy
 
 
-def macro_from_conserved(rho, mom, energy, dim: int | None = None):
-    """Invert (rho, momentum, energy) to (u, theta); raises when unphysical.
-
-    Scalar inputs return a MacroState; array inputs return (u, theta) arrays.
-    """
-    mom = np.asarray(mom, dtype=float)
-    arrays = mom.ndim > 1 or np.ndim(rho) > 0
-    rho = np.asarray(rho, dtype=float)
-    energy = np.asarray(energy, dtype=float)
-    D = mom.shape[-1] if dim is None else dim
-    if np.any(~(rho > 0.0)):      # NaN fails the test
-        raise UnphysicalStateError("non-positive density")
-    u = mom / rho[..., None]
-    internal = energy - 0.5 * (mom * mom).sum(axis=-1) / rho
-    if np.any(~(internal > 0.0)):
-        raise UnphysicalStateError("non-positive internal energy")
-    theta = 2.0 * internal / (D * rho)
-    if arrays:
-        return u, theta
-    return MacroState(rho=float(rho), u=u, theta=float(theta))
+def macro_from_conserved(rho, m1, energy, dim: int):
+    """The frame (u_1, theta) of (rho, m_1, E), elementwise and unchecked:
+    the caller tests rho > 0 and theta > 0 (NaN fails both)."""
+    internal = energy - 0.5 * (m1 * m1) / rho
+    return m1 / rho, 2.0 * internal / (dim * rho)
 
 
 def project_coeffs(layout: AxisymmetricLayout, g: np.ndarray, du1, dtheta) -> np.ndarray:
@@ -128,19 +88,6 @@ def sigma11_q1(layout: AxisymmetricLayout, g: np.ndarray):
     if layout.dim > 1:
         q1 = q1 + (layout.dim - 1) * g[1, 1]
     return 2.0 * g[2, 0], q1
-
-
-def constraint_residual(layout: AxisymmetricLayout, g: np.ndarray, rho, theta):
-    """Largest violation of g_00 = rho, g_10 = 0, g_20 + (D-1) g_01 = 0.
-
-    Scaled by rho theta^{|alpha|/2} per constraint order, so 1e-8 is a
-    reasonable acceptance threshold for states produced by the solver.
-    """
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    res = np.abs(g[0, 0] - rho) / rho
-    res = np.maximum(res, np.abs(g[1, 0]) / (rho * np.sqrt(theta)))
-    return np.maximum(res, np.abs(_trace(layout, g)) / (rho * theta))
 
 
 def enforce_constraints(layout: AxisymmetricLayout, g: np.ndarray, rho) -> np.ndarray:

@@ -14,6 +14,11 @@ are used to check.
 The reference formulas below (stress and heat flux, pointwise closures) work
 on the full graded-lex ``MomentLayout``, a storage scheme the library itself
 no longer uses, so they share no indexing code with what they check.
+
+The file opens with reference code that only the tests call: the scalar
+frame ``MacroState``, the solver's constraint residual, Hermite evaluation
+and Gauss quadrature, the iteration's first-order-law check and the
+shock-profile normalization.
 """
 import math
 from dataclasses import dataclass
@@ -22,9 +27,140 @@ from functools import reduce
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from regmom.hermite import he_table
-from regmom.indices import enumerate_indices
-from regmom.state import MacroState
+from regmom.indices import AxisymmetricLayout, enumerate_indices
+from regmom.iteration import ManufacturedField, _sigma_q1, run_iteration
+from regmom.state import UnphysicalStateError, _trace
+
+
+@dataclass
+class MacroState:
+    """Frame parameters of the expansion: density, velocity, temperature."""
+
+    rho: float
+    u: np.ndarray
+    theta: float
+
+    def __post_init__(self):
+        self.u = np.atleast_1d(np.asarray(self.u, dtype=float))
+        if not (self.rho > 0.0 and self.theta > 0.0):      # NaN fails the test
+            raise UnphysicalStateError(
+                f"need rho > 0 and theta > 0, got rho={self.rho}, theta={self.theta}")
+
+    @property
+    def dim(self) -> int:
+        return self.u.shape[0]
+
+    @property
+    def pressure(self) -> float:
+        return self.rho * self.theta
+
+
+def constraint_residual(layout: AxisymmetricLayout, g: np.ndarray, rho, theta):
+    """Largest violation of g_00 = rho, g_10 = 0, g_20 + (D-1) g_01 = 0.
+
+    Scaled by rho theta^{|alpha|/2} per constraint order, so 1e-8 is a
+    reasonable acceptance threshold for states produced by the solver.
+    """
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    res = np.abs(g[0, 0] - rho) / rho
+    res = np.maximum(res, np.abs(g[1, 0]) / (rho * np.sqrt(theta)))
+    return np.maximum(res, np.abs(_trace(layout, g)) / (rho * theta))
+
+
+def he_eval(n: int, x):
+    """He_n(x) by recursion; returns 0 for n < 0. Accepts scalars or arrays."""
+    if n < 0:
+        return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
+    prev = np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
+    if n == 0:
+        return prev
+    cur = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+    for k in range(1, n):
+        prev, cur = cur, x * cur - k * prev
+    return cur
+
+
+def he_table(nmax: int, x: np.ndarray) -> np.ndarray:
+    """He_0..He_nmax at the points x, shape (nmax+1, len(x))."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((nmax + 1,) + x.shape)
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = x
+    for k in range(1, nmax):
+        out[k + 1] = x * out[k] - k * out[k - 1]
+    return out
+
+
+def he_derivative(n: int, x):
+    """He_n'(x) = n He_{n-1}(x)."""
+    if n <= 0:
+        return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
+    return n * he_eval(n - 1, x)
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Gauss rule for integrals against exp(-x^2/2)/sqrt(2 pi) on R.
+
+    With n nodes the rule is exact for polynomials up to degree 2n - 1.
+    Weights are normalized: integrate(1) == 1.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def gauss(cls, n: int = 40) -> "QuadratureRule":
+        x, w = hermite_e.hermegauss(n)
+        return cls(nodes=x, weights=w / math.sqrt(2.0 * math.pi))
+
+    def integrate(self, values: np.ndarray) -> float:
+        """Sum of values(nodes) * weights along the last axis."""
+        return np.asarray(values) @ self.weights
+
+
+@dataclass
+class NSFReport:
+    sigma_dev: float   # max relative deviation of sigma_{i1} from the limit law
+    q_dev: float       # same for q_1
+    scale: float
+
+
+def nsf_check(field: ManufacturedField, tau: float, sweeps: int = 2,
+              max_order: int = 6, grid_n: int = 64) -> NSFReport:
+    """Compare sweep-``sweeps`` stress/heat flux with the first-order laws.
+
+    After one sweep the match is exact; further sweeps add O(tau^2), so the
+    deviation must shrink by ~4 under tau halving.
+    """
+    sample = field.sample(grid_n)
+    state = run_iteration(sample, tau, sweeps, max_order)
+    D = field.dim
+    sig, q1 = _sigma_q1(state.coeffs, D)
+    mu = tau * sample.rho * sample.theta
+    sig_ref = np.empty_like(sig)
+    for i in range(D):
+        dev = 0.5 * ((i == 0) * sample.u_x[:, i] + sample.u_x[:, i])
+        if i == 0:
+            dev -= sample.u_x[:, 0] / D
+        sig_ref[:, i] = -2.0 * mu * dev
+    q_ref = -0.5 * (D + 2) * mu * sample.theta_x
+    # tau-free scale, so the deviation keeps both of its tau powers
+    scale = float((sample.rho * sample.theta).max())
+    return NSFReport(
+        sigma_dev=float(np.abs(sig - sig_ref).max() / scale),
+        q_dev=float(np.abs(q1 - q_ref).max() / scale),
+        scale=scale,
+    )
+
+
+def normalize_density(rho: np.ndarray, rho_left: float, rho_right: float) -> np.ndarray:
+    """Affine map sending the far-field densities to 0 and 1."""
+    if rho_left == rho_right:
+        raise ValueError("far-field densities must differ")
+    return (np.asarray(rho, dtype=float) - rho_left) / (rho_right - rho_left)
 
 
 class MomentLayout:

@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 from regmom.dvm import DVMConfig, dvm_moments, dvm_run
-from regmom.hermite import QuadratureRule, he_derivative, he_eval, he_table
-from regmom.iteration import (field_preset, magnitude_table, nsf_check,
-                              run_iteration)
+from regmom.iteration import field_preset, magnitude_table, run_iteration
 from regmom.output import compare_profiles, write_snapshot
-from regmom.scenarios import normalize_density, shock_structure, shock_tube
+from regmom.scenarios import shock_structure, shock_tube
 from regmom.solver import SolverConfig, make_state, run
 from regmom.state import sigma11_q1
 from regmom.iteration import fd4
+
+from oracles import (QuadratureRule, he_derivative, he_eval, he_table, normalize_density,
+                     nsf_check)
 
 
 def report(criterion: str, passed: bool, detail: str = ""):

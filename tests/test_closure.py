@@ -7,9 +7,8 @@ from regmom.closure import TopOrderClosure
 from regmom import state
 from regmom.indices import AxisymmetricLayout
 from regmom.iteration import ManufacturedField, _sigma_q1, run_iteration
-from regmom.state import MacroState
 
-from oracles import (GradientData, MomentLayout, closure_linear, closure_nonlinear,
+from oracles import (GradientData, MacroState, MomentLayout, closure_linear, closure_nonlinear,
                      enforce_constraints, expand_full, stress_heat)
 
 

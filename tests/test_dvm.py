@@ -7,11 +7,10 @@ import pytest
 from regmom.dvm import (DVMConfig, DVMState, VelocityGrid, _conserved, _ghosts,
                         discrete_maxwellian, dvm_moments, dvm_run, dvm_step,
                         make_dvm_state, suggested_v_max)
-from regmom.hermite import he_table
 from regmom.scenarios import shock_structure, shock_tube
-from regmom.state import MacroState, UnphysicalStateError
+from regmom.state import UnphysicalStateError
 
-from oracles import MomentLayout, enforce_constraints, stress_heat
+from oracles import MacroState, MomentLayout, enforce_constraints, he_table, stress_heat
 
 
 def total_mass(state: DVMState, grid: VelocityGrid) -> float:

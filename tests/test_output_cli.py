@@ -136,6 +136,23 @@ def test_cli_reports_unconverged_steady_search(monkeypatch, tmp_path, capsys):
     assert "not converged" in capsys.readouterr().err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cli_run_records_are_strict_json(tmp_path):
+    # t_stop runs measure no steady residual: the records say null, not Infinity
+    assert main(["run", "--scenario", "shock-tube", "--cells", "16",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert main(["make-ref", "--scenario", "shock-tube", "--kn", "0.3", "--cells", "16",
+                 "--nv", "40", "--out", str(tmp_path / "refs")]) == 0
+    paths = [tmp_path / "o" / "summary.json", *(tmp_path / "refs").glob("dvm_*.json")]
+    assert len(paths) == 2
+    for path in paths:
+        record = json.loads(path.read_text(), parse_constant=_reject_constant)
+        assert record["residual"] is None and record["converged"] is True
+
+
 def test_cli_coefficient_dump(tmp_path):
     out = tmp_path / "run2"
     code = main(["run", "--scenario", "shock-tube", "--kn", "0.05", "--M", "3",

@@ -11,9 +11,9 @@ from regmom.scenarios import Scenario, TauModel, shock_structure, shock_tube
 from regmom.solver import (SimState, SolverBreakdown, SolverConfig,
                            flux_coefficients, make_state, run, step, _extend,
                            _regularize, _solve_banded_tridiag, _solve_cyclic_tridiag)
-from regmom.state import MacroState, enforce_constraints
+from regmom.state import enforce_constraints
 
-from oracles import expand_full, raw_moment
+from oracles import MacroState, constraint_residual, expand_full, raw_moment
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -142,8 +142,6 @@ def test_farfield_conservation_matches_boundary_fluxes():
 
 
 def test_solver_states_satisfy_constraints():
-    from regmom.state import constraint_residual
-
     sc = shock_tube(kn=0.02)
     cfg = SolverConfig.from_scenario(sc, order=3, n_cells=64)
     state = make_state(sc, cfg)
@@ -206,6 +204,38 @@ def test_breakdown_reports_cell_and_time():
             step(state, cfg)
     assert err.value.cell >= 0
     assert err.value.time >= 0.0
+
+
+@pytest.mark.parametrize("seed", ["kinetic-above-total", "negative-density"])
+def test_unphysical_recovery_raises_breakdown_at_seeded_cell(seed):
+    # the step's one positivity test follows the conserved recovery; a step
+    # too short to move anything leaves the seeded cell the only bad one
+    sc = shock_tube(kn=0.02)
+    cfg = SolverConfig.from_scenario(sc, order=3, n_cells=32)
+    state = make_state(sc, cfg)
+    cell = 20
+    if seed == "kinetic-above-total":
+        # m_1 = g_10 with u_1 = 0: m_1^2 / 2 rho exceeds E = 3 rho theta / 2
+        state.coeffs[1, 0, cell] = 10.0 * state.rho[cell]
+    else:
+        state.coeffs[0, 0, cell] = -state.rho[cell]
+    with pytest.raises(SolverBreakdown) as err:
+        step(state, cfg, dt_limit=1e-9)
+    assert err.value.cell == cell
+    assert err.value.time == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_transverse_velocity_and_books_stay_zero(dim):
+    sc = shock_tube(kn=0.05, dim=dim)
+    cfg = SolverConfig.from_scenario(sc, order=4, n_cells=40)
+    state = make_state(sc, cfg)
+    for _ in range(20):
+        step(state, cfg)
+    assert state.u.shape == (40, dim)
+    assert np.all(state.u[:, 1:] == 0.0)
+    assert np.all(state.boundary_account[2:-1] == 0.0)
+    assert np.any(state.u[:, 0] != 0.0)
 
 
 @pytest.mark.parametrize("branch, kn", [("explicit", 0.02), ("implicit", 0.5)],
@@ -310,7 +340,7 @@ def test_batched_top_solve_matches_per_entry_solves(boundary, dim):
         step(state, cfg)
     lay, dx, dt = state.layout, state.dx, 4.0 * state.last_dt
     assert lay.top_a.size == (1 if dim == 1 else 3)
-    rho_e, _, th_e, _ = _extend(sc, state.rho, state.u, state.theta, state.coeffs)
+    rho_e, _, th_e, _ = _extend(sc, state.rho, state.u[:, 0], state.theta, state.coeffs)
     th_f = 0.5 * (th_e[:-1] + th_e[1:])
     kappa_f = sc.tau_model.tau(sc.kn, 0.5 * (rho_e[:-1] + rho_e[1:]), th_f) * th_f
     ref = state.coeffs.copy()
