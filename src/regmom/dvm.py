@@ -10,10 +10,16 @@ Maxwellians (h_M = (D - 1) theta g_M).  For D = 1, g is the full
 distribution and h is absent.
 
 The scheme is first-order upwind transport plus pointwise exact-exponential
-relaxation toward a discrete Maxwellian.  The nodal Maxwellian is corrected
-by a quadratic factor a + b v + c v^2 chosen so its discrete mass, momentum
-and energy match the cell's exactly, which makes the relaxation substep
-conservative to roundoff.
+relaxation toward a discrete Maxwellian.  Transport takes the difference
+across each face once, scales it by v dt/dx and subtracts from each cell the
+difference on its upwind side.  The nodal Maxwellian is corrected by a
+quadratic factor a + b v + c v^2 chosen so its discrete mass, momentum and
+energy match the cell's exactly, which makes the relaxation substep
+conservative to roundoff.  Relaxation with e = exp(-dt/tau) is
+
+    g <- e g + (1 - e) g_M,      h <- e h + (D - 1) theta (1 - e) g_M,
+
+with the weight 1 - e folded into the cell's (a, b, c).
 """
 from __future__ import annotations
 
@@ -99,43 +105,84 @@ class DVMState:
         return self.scenario.dim
 
 
-def discrete_maxwellian(grid: VelocityGrid, rho, u1, theta, dim: int,
-                        out_g: np.ndarray | None = None,
-                        out_h: np.ndarray | None = None):
+# Relative tolerance on the moments a corrected Maxwellian must reproduce.
+MOMENT_RTOL = 1e-10
+
+
+def discrete_maxwellian(grid: VelocityGrid, rho, u1, theta, dim: int = 1,
+                        weight=1.0, out: np.ndarray | None = None,
+                        work: np.ndarray | None = None):
     """Reduced nodal Maxwellians corrected to the exact discrete moments.
 
-    Solves a 3x3 system per cell for the quadratic factor; raises when the
-    requested moments are unphysical.  ``out_g``/``out_h`` let the step loop
-    reuse buffers (fresh multi-MB temporaries every step are page-fault
-    bound on small machines).
+    Returns ``(g_M, h_M)`` with h_M = (D - 1) theta g_M, or ``(g_M, None)``
+    for ``dim`` 1; g_M itself does not depend on D.  Per cell:
+
+    * the exponent -(v - u1)^2 / (2 theta) is one (n, 3) x (3, n_v) product
+      of [-u1^2 / (2 theta), u1 / theta, -1 / (2 theta)] with [1, v, v^2],
+      exponentiated in place to G(v);
+    * the factor a + b v + c v^2 makes sum G (a + b v + c v^2) v^k dv equal
+      rho, rho u1 and rho (u1^2 + theta) for k = 0, 1, 2 (twice the energy
+      row less (D - 1) theta times the mass row).  The matrix is the Hankel
+      matrix of the power sums of G.  It is solved in closed form in the
+      cell's frame w = v - u1, where it stays well conditioned.
+
+    The result is scaled by ``weight`` (a scalar or one value per cell).  It
+    is written to ``out``; ``work`` holds G.  Both are (n, n_v) buffers,
+    allocated when omitted.
+
+    Raises UnphysicalStateError when rho or theta is not positive, and names
+    the first cell whose factor misses any of the three moments by more than
+    MOMENT_RTOL relative to rho (u1^2 + theta)^(k/2): the velocity grid is
+    then too coarse or too narrow for that cell's temperature and speed.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     u1 = np.atleast_1d(np.asarray(u1, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if np.any(~(rho > 0.0)) or np.any(~(theta > 0.0)):     # NaN fails the test
         raise UnphysicalStateError("discrete Maxwellian needs rho > 0, theta > 0")
-    v = grid.v
-    gm = np.subtract(v, u1[:, None], out=out_g)
-    gm *= gm
-    gm *= (-0.5 / theta)[:, None]
-    np.exp(gm, out=gm)
-    gm *= (rho / np.sqrt(2.0 * math.pi * theta))[:, None]
-    smat = gm @ grid.powers * grid.dv          # (n, 5) power sums
-    s = [smat[:, k] for k in range(5)]
-    energy = 0.5 * rho * u1**2 + 0.5 * dim * rho * theta
-    mat = np.empty(rho.shape + (3, 3))
-    mat[..., 0, 0], mat[..., 0, 1], mat[..., 0, 2] = s[0], s[1], s[2]
-    mat[..., 1, 0], mat[..., 1, 1], mat[..., 1, 2] = s[1], s[2], s[3]
-    for j in range(3):
-        # the energy row picks up the transverse part through h_M = (D-1) theta g_M
-        mat[..., 2, j] = 0.5 * (s[j + 2] + (dim - 1) * theta * s[j])
-    rhs = np.stack([rho, rho * u1, energy], axis=-1)
-    abc = np.linalg.solve(mat, rhs[..., None])[..., 0]
-    gm *= abc @ grid.powers[:, :3].T
+    quad = np.ascontiguousarray(grid.powers[:, :3].T)     # rows 1, v, v^2
+    inv = 1.0 / theta
+    expo = np.stack([-0.5 * u1 * u1 * inv, u1 * inv, -0.5 * inv], axis=1)
+    gauss = np.matmul(expo, quad, out=work)
+    np.exp(gauss, out=gauss)
+    s = (gauss @ grid.powers).T                 # power sums s_0 .. s_4 of G
+    # About v = 0 the Hankel matrix is ill-conditioned once |u1| >> sqrt(theta)
+    # (at Mach 9 the moments then miss by far more than MOMENT_RTOL).  Solve
+    # for alpha + beta w + gamma w^2 instead: the power sums m_k of w follow
+    # from s by a Taylor shift, and the right-hand side is (1, 0, theta) rho / dv.
+    m = s.copy()
+    for i in range(4):
+        m[i + 1:] -= u1 * m[i:-1]
+    m0, m1, m2, m3, m4 = m
+    c00 = m2 * m4 - m3 * m3                     # cofactors of the Hankel matrix of m
+    c01 = m2 * m3 - m1 * m4
+    c02 = m1 * m3 - m2 * m2
+    c12 = m1 * m2 - m0 * m3
+    c22 = m0 * m2 - m1 * m1
+    det = m0 * c00 + m1 * c01 + m2 * c02
+    alpha = (c00 + theta * c02) / det
+    beta = (c01 + theta * c12) / det
+    gamma = (c02 + theta * c22) / det
+    # back to a + b v + c v^2, checked against the power sums about v = 0
+    a = alpha - u1 * (beta - u1 * gamma)
+    b = beta - 2.0 * u1 * gamma
+    r2 = u1 * u1 + theta
+    ok = ((det > 0.0)
+          & (np.abs(s[0] * a + s[1] * b + s[2] * gamma - 1.0) <= MOMENT_RTOL)
+          & (np.abs(s[1] * a + s[2] * b + s[3] * gamma - u1) <= MOMENT_RTOL * np.sqrt(r2))
+          & (np.abs(s[2] * a + s[3] * b + s[4] * gamma - r2) <= MOMENT_RTOL * r2))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise UnphysicalStateError(
+            f"discrete Maxwellian misses the moments of cell {k} (rho = {rho[k]:.6g}, "
+            f"u1 = {u1[k]:.6g}, theta = {theta[k]:.6g}): the velocity grid is too "
+            f"coarse or too narrow")
+    scale = rho * weight / grid.dv
+    gm = np.matmul(np.stack([a * scale, b * scale, gamma * scale], axis=1), quad, out=out)
+    gm *= gauss
     if dim == 1:
         return gm, None
-    h = np.multiply((dim - 1) * theta[:, None], gm, out=out_h)
-    return gm, h
+    return gm, (dim - 1) * theta[:, None] * gm
 
 
 def _conserved(state: DVMState, grid: VelocityGrid):
@@ -185,30 +232,30 @@ def _ghosts(scenario: Scenario, grid: VelocityGrid):
 class _Scratch:
     """Reusable step buffers, keyed to the (n, n_v) shape."""
 
-    def __init__(self, n: int, n_v: int, dim: int):
-        self.ext = np.empty((n + 2, n_v))
-        self.flux = np.empty((n + 1, n_v))
+    def __init__(self, n: int, n_v: int):
+        # face differences, then G of the Maxwellian
+        self.diff = np.empty((n + 1, n_v))
         self.gm = np.empty((n, n_v))
-        self.hm = np.empty((n, n_v)) if dim > 1 else None
 
 
-def _transport(arr, ghost_l, ghost_r, v, dt_dx, periodic: bool, scratch: _Scratch):
-    ext, flux = scratch.ext, scratch.flux
-    ext[1:-1] = arr
-    if periodic:
-        ext[0] = arr[-1]
-        ext[-1] = arr[0]
+def _transport(arr, ghost_l, ghost_r, nu_v, left, diff):
+    """Upwind transport in place: arr -= (v dt/dx) times the upwind difference.
+
+    ``ghost_l``/``ghost_r`` are the far-field rows, or None for a periodic
+    mesh; ``left`` marks the nodes with v <= 0, whose upwind side is the
+    right face.
+    """
+    np.subtract(arr[1:], arr[:-1], out=diff[1:-1])
+    if ghost_l is None:
+        np.subtract(arr[:1], arr[-1:], out=diff[:1])
+        diff[-1] = diff[0]
     else:
-        ext[0] = ghost_l
-        ext[-1] = ghost_r
-    # v is sorted, so the upwind split is two contiguous column blocks
-    k = int(np.searchsorted(v, 0.0, side="right"))
-    np.multiply(v[:k], ext[1:, :k], out=flux[:, :k])
-    np.multiply(v[k:], ext[:-1, k:], out=flux[:, k:])
-    upd = np.subtract(flux[1:], flux[:-1], out=ext[:-2])
-    upd *= dt_dx
-    arr -= upd
-    return arr
+        np.subtract(arr[:1], ghost_l, out=diff[:1])
+        np.subtract(ghost_r, arr[-1:], out=diff[-1:])
+    diff *= nu_v
+    # masked whole-array passes: numpy buffers a column-block slice instead
+    np.subtract(arr, diff[1:], out=arr, where=left)
+    np.subtract(arr, diff[:-1], out=arr, where=~left)
 
 
 def dvm_step(state: DVMState, cfg: DVMConfig, grid: VelocityGrid,
@@ -223,12 +270,14 @@ def dvm_step(state: DVMState, cfg: DVMConfig, grid: VelocityGrid,
     if not periodic and ghosts is None:
         raise ValueError("far-field boundary needs ghost distributions")
     if scratch is None:
-        scratch = _Scratch(state.g.shape[0], state.g.shape[1], state.dim)
-    (g_l, h_l), (g_r, h_r) = ghosts if ghosts is not None else ((None, None),) * 2
+        scratch = _Scratch(*state.g.shape)
+    (g_l, h_l), (g_r, h_r) = ((None, None),) * 2 if periodic else ghosts
     v = grid.v
-    state.g = _transport(state.g, g_l, g_r, v, dt / state.dx, periodic, scratch)
+    nu_v = v * (dt / state.dx)
+    left = v <= 0.0
+    _transport(state.g, g_l, g_r, nu_v, left, scratch.diff)
     if state.h is not None:
-        state.h = _transport(state.h, h_l, h_r, v, dt / state.dx, periodic, scratch)
+        _transport(state.h, h_l, h_r, nu_v, left, scratch.diff)
 
     if math.isfinite(sc.kn):
         rho, u1, theta = _conserved(state, grid)
@@ -238,14 +287,20 @@ def dvm_step(state: DVMState, cfg: DVMConfig, grid: VelocityGrid,
                 f"non-positive or NaN density or temperature after transport "
                 f"(cell {int(np.argmax(bad))}, t = {state.t:.6g})")
         tau = np.asarray(sc.tau_model.tau(sc.kn, rho, theta))
-        gm, hm = discrete_maxwellian(grid, rho, u1, theta, state.dim,
-                                     out_g=scratch.gm, out_h=scratch.hm)
-        decay = np.exp(-dt / tau)[:, None]
-        for arr, maxw in ((state.g, gm), (state.h, hm)) if state.h is not None \
-                else ((state.g, gm),):
-            arr -= maxw
-            arr *= decay
-            arr += maxw
+        decay = np.exp(-dt / tau)
+        try:
+            gm, _ = discrete_maxwellian(grid, rho, u1, theta, weight=1.0 - decay,
+                                        out=scratch.gm, work=scratch.diff[:-1])
+        except UnphysicalStateError as exc:
+            raise UnphysicalStateError(f"{exc}, at t = {state.t:.6g}") from exc
+        state.g *= decay[:, None]
+        state.g += gm
+        if state.h is not None:
+            # h <- e h + (D - 1) theta gm, as three in-place passes
+            h_m = ((state.dim - 1) * theta)[:, None]
+            state.h *= decay[:, None] / h_m
+            state.h += gm
+            state.h *= h_m
 
     state.t += dt
     state.steps += 1
@@ -257,7 +312,7 @@ def dvm_run(scenario: Scenario, cfg: DVMConfig) -> tuple[DVMState, VelocityGrid]
     grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
     state = make_dvm_state(scenario, cfg, grid)
     ghosts = None if scenario.boundary == "periodic" else _ghosts(scenario, grid)
-    scratch = _Scratch(cfg.n_cells, cfg.n_v, scenario.dim)
+    scratch = _Scratch(cfg.n_cells, cfg.n_v)
     integrate(state, cfg, lambda limit: dvm_step(state, cfg, grid, ghosts=ghosts,
                                                  dt_limit=limit, scratch=scratch),
               lambda: state.g.sum(axis=1) * grid.dv)

@@ -18,7 +18,8 @@ no longer uses, so they share no indexing code with what they check.
 The file opens with reference code that only the tests call: the scalar
 frame ``MacroState``, the solver's constraint residual, Hermite evaluation
 and Gauss quadrature, the iteration's first-order-law check and the
-shock-profile normalization.
+shock-profile normalization.  It closes with the DVM step in flux form, the
+reference for the library's reordered step.
 """
 import math
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from functools import reduce
 import numpy as np
 from numpy.polynomial import hermite_e
 
+from regmom.dvm import _conserved
 from regmom.indices import AxisymmetricLayout, enumerate_indices
 from regmom.iteration import ManufacturedField, _sigma_q1, run_iteration
 from regmom.state import UnphysicalStateError, _trace
@@ -426,3 +428,123 @@ def expand_full(axi, g):
             half = [c // 2 for c in rest]
             f[..., n] = math.comb(sum(half), half[0] if half else 0) * g[..., a, sum(half)]
     return layout, f
+
+
+# ---------------------------------------------------------------------------
+# The DVM step in flux form: face fluxes v f of a ghost-extended copy, and the
+# corrected Maxwellian by a batched LU solve of the full 3x3 moment system.
+# The library's step reorders this arithmetic; tests compare the two.
+
+
+def flux_form_maxwellian(grid, rho, u1, theta, dim: int,
+                         out_g: np.ndarray | None = None,
+                         out_h: np.ndarray | None = None):
+    """Reduced nodal Maxwellians corrected to the exact discrete moments.
+
+    Solves a 3x3 system per cell for the quadratic factor; raises when the
+    requested moments are unphysical.
+    """
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    u1 = np.atleast_1d(np.asarray(u1, dtype=float))
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if np.any(~(rho > 0.0)) or np.any(~(theta > 0.0)):     # NaN fails the test
+        raise UnphysicalStateError("discrete Maxwellian needs rho > 0, theta > 0")
+    v = grid.v
+    gm = np.subtract(v, u1[:, None], out=out_g)
+    gm *= gm
+    gm *= (-0.5 / theta)[:, None]
+    np.exp(gm, out=gm)
+    gm *= (rho / np.sqrt(2.0 * math.pi * theta))[:, None]
+    smat = gm @ grid.powers * grid.dv          # (n, 5) power sums
+    s = [smat[:, k] for k in range(5)]
+    energy = 0.5 * rho * u1**2 + 0.5 * dim * rho * theta
+    mat = np.empty(rho.shape + (3, 3))
+    mat[..., 0, 0], mat[..., 0, 1], mat[..., 0, 2] = s[0], s[1], s[2]
+    mat[..., 1, 0], mat[..., 1, 1], mat[..., 1, 2] = s[1], s[2], s[3]
+    for j in range(3):
+        # the energy row picks up the transverse part through h_M = (D-1) theta g_M
+        mat[..., 2, j] = 0.5 * (s[j + 2] + (dim - 1) * theta * s[j])
+    rhs = np.stack([rho, rho * u1, energy], axis=-1)
+    abc = np.linalg.solve(mat, rhs[..., None])[..., 0]
+    gm *= abc @ grid.powers[:, :3].T
+    if dim == 1:
+        return gm, None
+    h = np.multiply((dim - 1) * theta[:, None], gm, out=out_h)
+    return gm, h
+
+
+def flux_form_ghosts(scenario, grid):
+    """Flux-form discrete Maxwellians of the two far-field states."""
+    return tuple(flux_form_maxwellian(grid, rho, np.asarray(u).reshape(-1)[0], theta,
+                                      scenario.dim)
+                 for rho, u, theta in scenario.far_fields)
+
+
+class FluxFormScratch:
+    """Reusable step buffers, keyed to the (n, n_v) shape."""
+
+    def __init__(self, n: int, n_v: int, dim: int):
+        self.ext = np.empty((n + 2, n_v))
+        self.flux = np.empty((n + 1, n_v))
+        self.gm = np.empty((n, n_v))
+        self.hm = np.empty((n, n_v)) if dim > 1 else None
+
+
+def _flux_transport(arr, ghost_l, ghost_r, v, dt_dx, periodic: bool,
+                    scratch: FluxFormScratch):
+    ext, flux = scratch.ext, scratch.flux
+    ext[1:-1] = arr
+    if periodic:
+        ext[0] = arr[-1]
+        ext[-1] = arr[0]
+    else:
+        ext[0] = ghost_l
+        ext[-1] = ghost_r
+    # v is sorted, so the upwind split is two contiguous column blocks
+    k = int(np.searchsorted(v, 0.0, side="right"))
+    np.multiply(v[:k], ext[1:, :k], out=flux[:, :k])
+    np.multiply(v[k:], ext[:-1, k:], out=flux[:, k:])
+    upd = np.subtract(flux[1:], flux[:-1], out=ext[:-2])
+    upd *= dt_dx
+    arr -= upd
+    return arr
+
+
+def flux_form_step(state, cfg, grid, ghosts=None, dt_limit: float | None = None,
+                   scratch: FluxFormScratch | None = None) -> float:
+    """One upwind transport + relaxation step; returns dt."""
+    dt = cfg.cfl * state.dx / grid.v_max
+    if dt_limit is not None:
+        dt = min(dt, dt_limit)
+    sc = state.scenario
+    periodic = sc.boundary == "periodic"
+    if not periodic and ghosts is None:
+        raise ValueError("far-field boundary needs ghost distributions")
+    if scratch is None:
+        scratch = FluxFormScratch(state.g.shape[0], state.g.shape[1], state.dim)
+    (g_l, h_l), (g_r, h_r) = ghosts if ghosts is not None else ((None, None),) * 2
+    v = grid.v
+    state.g = _flux_transport(state.g, g_l, g_r, v, dt / state.dx, periodic, scratch)
+    if state.h is not None:
+        state.h = _flux_transport(state.h, h_l, h_r, v, dt / state.dx, periodic, scratch)
+
+    if math.isfinite(sc.kn):
+        rho, u1, theta = _conserved(state, grid)
+        bad = ~(rho > 0.0) | ~(theta > 0.0)     # NaN counts as bad
+        if bad.any():
+            raise UnphysicalStateError(
+                f"non-positive or NaN density or temperature after transport "
+                f"(cell {int(np.argmax(bad))}, t = {state.t:.6g})")
+        tau = np.asarray(sc.tau_model.tau(sc.kn, rho, theta))
+        gm, hm = flux_form_maxwellian(grid, rho, u1, theta, state.dim,
+                                      out_g=scratch.gm, out_h=scratch.hm)
+        decay = np.exp(-dt / tau)[:, None]
+        for arr, maxw in ((state.g, gm), (state.h, hm)) if state.h is not None \
+                else ((state.g, gm),):
+            arr -= maxw
+            arr *= decay
+            arr += maxw
+
+    state.t += dt
+    state.steps += 1
+    return dt

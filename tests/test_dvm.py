@@ -1,20 +1,27 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from regmom.dvm import (DVMConfig, DVMState, VelocityGrid, _conserved, _ghosts,
+from regmom.dvm import (DVMConfig, DVMState, VelocityGrid, _ghosts, _Scratch,
                         discrete_maxwellian, dvm_moments, dvm_run, dvm_step,
                         make_dvm_state, suggested_v_max)
 from regmom.scenarios import shock_structure, shock_tube
 from regmom.state import UnphysicalStateError
 
-from oracles import MacroState, MomentLayout, enforce_constraints, he_table, stress_heat
+from oracles import (MacroState, MomentLayout, enforce_constraints, flux_form_ghosts,
+                     flux_form_step, he_table, stress_heat)
 
 
-def total_mass(state: DVMState, grid: VelocityGrid) -> float:
-    return float(state.g.sum() * grid.dv * state.dx)
+def totals(state: DVMState, grid: VelocityGrid) -> np.ndarray:
+    """Mass, momentum and energy of the whole mesh by quadrature."""
+    v = grid.v
+    energy = 0.5 * (state.g @ v**2).sum()
+    if state.h is not None:
+        energy += 0.5 * state.h.sum()
+    return np.array([state.g.sum(), (state.g @ v).sum(), energy]) * grid.dv * state.dx
 
 
 def periodic(dim=3, kn=0.1):
@@ -62,6 +69,27 @@ def test_discrete_maxwellian_rejects_unphysical():
     with pytest.raises(UnphysicalStateError):
         discrete_maxwellian(grid, np.array([-1.0]), np.array([0.0]),
                             np.array([1.0]), 3)
+
+
+@pytest.mark.parametrize("theta", [1e-4, 1e-6])
+def test_discrete_maxwellian_rejects_under_resolved(theta):
+    # 200 nodes on [-12, 12] are 0.12 apart: a gas this cold sits on one
+    # node, and no quadratic factor restores its moments
+    grid = VelocityGrid.make(200, 12.0)
+    with pytest.raises(UnphysicalStateError, match=r"cell 1 \("):
+        discrete_maxwellian(grid, [1.0, 1.0], [0.0, 0.05], [1.0, theta])
+
+
+def test_step_names_cell_and_time_of_an_unresolvable_maxwellian():
+    # all mass on one node but a trace on the next: theta is positive but far
+    # below the node spacing squared, so the relaxation target cannot be built
+    n, nv = 8, 40
+    grid = VelocityGrid.make(nv, 10.0)
+    g = np.zeros((n, nv))
+    g[:, 20], g[:, 21] = (1.0 - 1e-6) / grid.dv, 1e-6 / grid.dv
+    state = DVMState(scenario=periodic(1), x=np.zeros(n), dx=1.0 / n, g=g, h=None, t=0.25)
+    with pytest.raises(UnphysicalStateError, match=r"cell 0 .* at t = 0\.25"):
+        dvm_step(state, DVMConfig(n_cells=n, n_v=nv, v_max=10.0), grid)
 
 
 def test_shock_tube_init_recovers_left_state():
@@ -166,37 +194,84 @@ def test_periodic_mass_conserved_per_step():
     g, h = discrete_maxwellian(grid, rho, 0.2 * np.ones(n), np.ones(n), 3)
     state = DVMState(scenario=periodic(3), x=x, dx=1.0 / n, g=g, h=h)
     cfg = DVMConfig(n_cells=n, n_v=nv, v_max=10.0)
-    m0 = total_mass(state, grid)
+    m0 = totals(state, grid)[0]
     for _ in range(25):
-        prev = total_mass(state, grid)
+        prev = totals(state, grid)[0]
         dvm_step(state, cfg, grid)
-        assert abs(total_mass(state, grid) - prev) < 1e-13 * abs(prev)
-    assert abs(total_mass(state, grid) - m0) < 1e-12 * abs(m0)
+        assert abs(totals(state, grid)[0] - prev) < 1e-13 * abs(prev)
+    assert abs(totals(state, grid)[0] - m0) < 1e-12 * abs(m0)
 
 
 def test_relaxation_conserves_all_three_moments():
-    n, nv = 16, 100
+    # a periodic gas off equilibrium, stepped through the library's transport
+    # and relaxation: each step keeps the mesh's mass, momentum and energy to
+    # roundoff, for every velocity dimension
+    n, nv = 64, 60
     grid = VelocityGrid.make(nv, 10.0)
-    rng = np.random.default_rng(3)
-    rho = 1.0 + rng.random(n)
-    u1 = 0.3 * rng.normal(size=n)
-    th = 0.8 + 0.4 * rng.random(n)
-    g, h = discrete_maxwellian(grid, rho, u1, th, 3)
-    # perturb away from equilibrium, then check relaxation toward the
-    # corrected Maxwellian leaves the conserved moments untouched
-    g = g * (1.0 + 0.05 * np.sin(grid.v)[None, :])
-    h = h * (1.0 - 0.03 * np.cos(grid.v)[None, :])
-    state = DVMState(scenario=periodic(3), x=np.zeros(n), dx=1.0, g=g, h=h)
-    before = np.stack(_conserved(state, grid))
-    # zero transport: single cell row repeated periodically is not uniform,
-    # so run the relaxation directly
-    rho2, u2, th2 = _conserved(state, grid)
-    gm, hm = discrete_maxwellian(grid, rho2, u2, th2, 3)
-    decay = 0.3
-    state.g = gm + (state.g - gm) * decay
-    state.h = hm + (state.h - hm) * decay
-    after = np.stack(_conserved(state, grid))
-    assert np.abs(after - before).max() < 1e-12 * np.abs(before).max()
+    x = np.linspace(0.0, 1.0, n, endpoint=False)
+    rho = 1.0 + 0.3 * np.sin(2 * math.pi * x)
+    u1 = 0.3 + 0.2 * np.cos(2 * math.pi * x)
+    theta = 1.0 + 0.2 * np.sin(4 * math.pi * x)
+    cfg = DVMConfig(n_cells=n, n_v=nv, v_max=10.0)
+    for dim in (1, 2, 3):
+        g, h = discrete_maxwellian(grid, rho, u1, theta, dim)
+        g *= 1.0 + 0.05 * np.sin(grid.v)
+        if h is not None:
+            h *= 1.0 - 0.03 * np.cos(grid.v)
+        state = DVMState(scenario=periodic(dim), x=x, dx=1.0 / n, g=g, h=h)
+        first = totals(state, grid)
+        assert np.all(np.abs(first) > 0.1)
+        for _ in range(25):
+            prev = totals(state, grid)
+            dvm_step(state, cfg, grid)
+            assert np.all(np.abs(totals(state, grid) - prev) <= 1e-13 * np.abs(prev)), dim
+        assert np.all(np.abs(totals(state, grid) - first) <= 1e-12 * np.abs(first)), dim
+
+
+CASES = {"farfield-D1": ("farfield", 1, 0.02), "farfield-D2": ("farfield", 2, 0.02),
+         "farfield-D3": ("farfield", 3, 0.02), "periodic-D3": ("periodic", 3, 0.02),
+         "farfield-D3-free": ("farfield", 3, math.inf)}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_step_matches_flux_form_oracle(case):
+    boundary, dim, kn = CASES[case]
+    sc = shock_tube(kn=kn, dim=dim)
+    if boundary == "periodic":
+        sc = replace(sc, boundary="periodic", far_fields=None)
+    cfg = DVMConfig.from_scenario(sc, n_cells=64, n_v=48, v_max=10.0)
+    grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
+    state = make_dvm_state(sc, cfg, grid)
+    ref = replace(state, g=state.g.copy(), h=None if state.h is None else state.h.copy())
+    farfield = boundary == "farfield"
+    ghosts = _ghosts(sc, grid) if farfield else None
+    ref_ghosts = flux_form_ghosts(sc, grid) if farfield else None
+    for _ in range(100):
+        dvm_step(state, cfg, grid, ghosts=ghosts)
+        flux_form_step(ref, cfg, grid, ghosts=ref_ghosts)
+    assert state.t == ref.t
+    bound = 1e-12 * ref.g.max()
+    assert np.abs(state.g - ref.g).max() <= bound
+    if dim > 1:
+        assert np.abs(state.h - ref.h).max() <= bound
+
+
+def test_step_allocates_no_cell_by_node_array():
+    sc = shock_tube(kn=0.02)
+    n, nv = 200, 100
+    cfg = DVMConfig.from_scenario(sc, n_cells=n, n_v=nv, v_max=12.0)
+    grid = VelocityGrid.make(nv, cfg.v_max)
+    state = make_dvm_state(sc, cfg, grid)
+    ghosts = _ghosts(sc, grid)
+    scratch = _Scratch(n, nv)
+    dvm_step(state, cfg, grid, ghosts=ghosts, scratch=scratch)
+    tracemalloc.start()
+    try:
+        dvm_step(state, cfg, grid, ghosts=ghosts, scratch=scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * nv * 8
 
 
 def test_dvm_moments_match_hermite_expansion():
