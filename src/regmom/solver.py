@@ -13,14 +13,18 @@ value per cell or face.  One time step is a Lie splitting of three substeps:
       coefficients g[a, k, cell] (indices.AxisymmetricLayout; the cell axis
       is last, so every ladder shift runs along all cells at once).  At each
       interface both neighbor states are re-expanded in the shared
-      arithmetic-mean frame, a local Lax-Friedrichs flux is formed with
-      wavespeed bound |u_1| + c_{M+1} sqrt(theta) (c_{M+1} the largest Hermite
-      root), and the flux vector is re-expanded into each neighbor's frame
-      for the update.  The left and right sides of all interfaces go through
-      one projection and one flux call, and both back-projections through one.
-      Re-expansion preserves the conserved moments, so mass, momentum and
-      energy telescope exactly across interfaces.  After the update the cell
-      frame is moved to match the new conserved moments.
+      arithmetic-mean frame (one projection call for all faces) and a local
+      Lax-Friedrichs flux is formed there, F of the side mean less the
+      dissipation, with wavespeed bound |u_1| + c_{M+1} sqrt(theta) (c_{M+1}
+      the largest Hermite root).  Re-expansion preserves the moments of
+      order <= M, so the new (rho, m_1, E) of a cell follow from its own and
+      its two face fluxes' conserved moments, each read in its own frame, and
+      mass, momentum and energy telescope exactly across interfaces.  That
+      gives the cell's new frame before any coefficient moves: the cell and
+      both of its face fluxes are re-expanded in it by a second projection
+      call and the cell is updated there.  Projections compose on the
+      truncated space (both series only raise the grade), so this equals
+      updating in the old frame and moving the frame after.
 
   (b) top-order regularization.  The closure value for the order-(M+1)
       coefficients enters only through (a+1) d g_(a+1,k) / dx on the top
@@ -29,8 +33,8 @@ value per cell or face.  One time step is a Lie splitting of three substeps:
       the diffusive core is integrated: explicitly when its stable step
       dx^2 / (2 max (M+1) tau theta) is at least the advective dx / max
       wavespeed, otherwise by backward Euler, with the tridiagonal systems
-      of all top entries stacked block-diagonally and solved in one banded
-      call.  The extra terms of the nonlinear closure are never stiff and
+      of all top entries stacked block-diagonally and solved by one LAPACK
+      gtsv call.  The extra terms of the nonlinear closure are never stiff and
       are always explicit.
 
   (c) BGK relaxation, exact in the local frame: every coefficient of grade
@@ -39,12 +43,18 @@ value per cell or face.  One time step is a Lie splitting of three substeps:
       (a symmetrized placement): a trailing full decay biases the stress and
       heat flux low by dt/(2 tau) relative, which buries the O(tau^2)
       transport-limit deviation the acceptance checks measure, while the
-      bracketed form leaves only an O((dt/tau)^2) bias.
+      bracketed form leaves only an O((dt/tau)^2) bias.  The trailing half's
+      tau is the next step's leading one (the same rho and theta), so it is
+      computed once.
 
-The time step is dt = CFL * dx / max wavespeed in either case.
+The time step is dt = CFL * dx / max wavespeed in either case.  A step makes
+two projection calls and one flux call.
 The step tests positivity once, after the conserved recovery of (a): a
 non-positive or NaN density or temperature raises SolverBreakdown with the
-offending cell and time; no limiter masks it.
+offending cell and time; no limiter masks it.  A non-finite top-grade
+coefficient after (b) raises SolverBreakdown too: it leaves (rho, u_1,
+theta) finite, and the projection carries a non-finite coefficient of any
+grade up to the top grade.
 """
 from __future__ import annotations
 
@@ -101,6 +111,50 @@ class SolverConfig:
         return cls(**kw)
 
 
+class _Scratch:
+    """What every step of one state reuses: c_{M+1}, the buffers of its two
+    projection calls, and tau of the state's (rho, theta)."""
+
+    def __init__(self, scenario: Scenario, layout: AxisymmetricLayout, n: int):
+        self.c_top = float(hermite_roots(layout.order + 1)[-1])
+        # the two sides of each face, then each cell with its left and right
+        # face: one buffer, which the second projection refills
+        sides_shape, rows_shape = layout.shape + (2, n + 1), layout.shape + (3, n)
+        sizes = math.prod(sides_shape), math.prod(rows_shape)
+        buf = np.empty(max(sizes))
+        self.sides = buf[:sizes[0]].reshape(sides_shape)
+        self.rows = buf[:sizes[1]].reshape(rows_shape)
+        # (u_1, theta) of the sides and of the rows
+        self.side_frames = np.empty((2, 2, n + 1))
+        self.frames = np.empty((2, 3, n))
+        self.ghosts = None              # periodic: the ring closes on the mesh
+        if scenario.boundary != "periodic":
+            self.ghosts = np.zeros((2,) + layout.shape)
+            (rl, ul, tl), (rr, ur, tr) = scenario.far_fields
+            self.ghosts[:, 0, 0] = rl, rr
+            self.side_frames[:, 0, 0] = ul[0], tl
+            self.side_frames[:, 1, -1] = ur[0], tr
+        # tau with the (rho, theta) arrays it was computed from
+        self.tau = (None, None, None)
+
+    def fill_sides(self, g: np.ndarray, u1: np.ndarray, theta: np.ndarray):
+        """The left (side 0) and right (side 1) cell of each face, and their
+        (u_1, theta), from the cells g, u1, theta."""
+        sides, fr = self.sides, self.side_frames
+        sides[..., 0, 1:] = g
+        sides[..., 1, :-1] = g
+        fr[0, 0, 1:] = fr[0, 1, :-1] = u1
+        fr[1, 0, 1:] = fr[1, 1, :-1] = theta
+        if self.ghosts is None:
+            sides[..., 0, 0] = g[..., -1]
+            sides[..., 1, -1] = g[..., 0]
+            fr[:, 0, 0] = u1[-1], theta[-1]
+            fr[:, 1, -1] = u1[0], theta[0]
+        else:
+            sides[..., 0, 0], sides[..., 1, -1] = self.ghosts
+        return sides, fr
+
+
 @dataclass
 class SimState:
     """Per-cell frames and coefficients on a uniform mesh, plus diagnostics."""
@@ -123,6 +177,7 @@ class SimState:
     residual: float | None = None   # measured only by a steady search
     converged: bool = False
     boundary_account: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    scratch: _Scratch | None = field(default=None, repr=False)   # made by the first step
 
     def conserved_totals(self) -> np.ndarray:
         """(mass, momentum_1..D, energy) integrated over the domain."""
@@ -142,7 +197,7 @@ def make_state(scenario: Scenario, cfg: SolverConfig) -> SimState:
     dx = (scenario.x_hi - scenario.x_lo) / n
     x = scenario.x_lo + (np.arange(n) + 0.5) * dx
     rho = np.asarray(scenario.rho0(x), dtype=float)
-    u = np.asarray(scenario.u0(x), dtype=float).reshape(n, scenario.dim)
+    u = np.array(scenario.u0(x), dtype=float).reshape(n, scenario.dim)   # step writes u_1 in place
     theta = np.asarray(scenario.theta0(x), dtype=float)
     ghost_u = [np.asarray(gh[1])[1:] for gh in scenario.far_fields or ()]
     if np.any(u[:, 1:]) or any(np.any(v) for v in ghost_u):
@@ -171,41 +226,42 @@ def flux_coefficients(layout: AxisymmetricLayout, g: np.ndarray, u1, theta) -> n
 
 
 def _extend(scenario: Scenario, rho, u1, theta, coeffs):
-    """State arrays with one ghost cell on each side (coeffs: cells last)."""
+    """State arrays with one ghost cell on each side (coeffs: cells last, or
+    None, which comes back as None)."""
     if scenario.boundary == "periodic":
         ring = np.arange(-1, rho.size + 1) % rho.size
-        return rho[ring], u1[ring], theta[ring], coeffs[..., ring]
+        return rho[ring], u1[ring], theta[ring], None if coeffs is None else coeffs[..., ring]
     (rl, ul, tl), (rr, ur, tr) = scenario.far_fields
-    co_g = np.zeros(coeffs.shape[:-1] + (2,))
-    co_g[0, 0] = rl, rr
     rho_e = np.concatenate([[rl], rho, [rr]])
     u_e = np.concatenate([[ul[0]], u1, [ur[0]]])
     th_e = np.concatenate([[tl], theta, [tr]])
+    if coeffs is None:
+        return rho_e, u_e, th_e, None
+    co_g = np.zeros(coeffs.shape[:-1] + (2,))
+    co_g[0, 0] = rl, rr
     co_e = np.concatenate([co_g[..., :1], coeffs, co_g[..., 1:]], axis=-1)
     return rho_e, u_e, th_e, co_e
 
 
-def _sides(x):
-    """x[..., :-1] and x[..., 1:], the two sides of each face, on a new axis -2."""
-    out = np.empty(x.shape[:-1] + (2, x.shape[-1] - 1))
-    out[..., 0, :], out[..., 1, :] = x[..., :-1], x[..., 1:]
-    return out
-
-
 def _solve_banded_tridiag(lower, diag, upper, rhs):
-    """Solve independent tridiagonal systems with one banded solve.
+    """Solve independent tridiagonal systems with one LAPACK gtsv call.
 
     lower, diag, upper are (..., n): one system per leading index, with
     lower[..., 0] and upper[..., -1] unused.  rhs is (..., n) or (..., n, m).
     The systems are stacked block-diagonally with zero coupling between blocks.
+    Raises LinAlgError on a zero pivot.
     """
-    from scipy.linalg import solve_banded
-    ab = np.zeros((3,) + diag.shape)
-    ab[0, ..., 1:] = upper[..., :-1]
-    ab[1] = diag
-    ab[2, ..., :-1] = lower[..., 1:]
+    from scipy.linalg.lapack import dgtsv   # lazy: scipy.linalg costs ~0.2 s to import
+    dl = lower.copy()
+    dl[..., 0] = 0.0
+    du = upper.copy()
+    du[..., -1] = 0.0
     b = rhs.reshape((diag.size,) + rhs.shape[diag.ndim:])
-    return solve_banded((1, 1), ab.reshape(3, -1), b).reshape(rhs.shape)
+    x, info = dgtsv(dl.reshape(-1)[1:], diag.reshape(-1), du.reshape(-1)[:-1], b,
+                    overwrite_dl=True, overwrite_du=True)[3:]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal system (gtsv info {info})")
+    return x.reshape(rhs.shape)
 
 
 def _solve_cyclic_tridiag(lower, diag, upper, corner_tr, corner_bl, rhs):
@@ -233,35 +289,38 @@ def _regularize(state: SimState, cfg: SolverConfig, dt: float, explicit: bool,
     of ``coeffs``, in the state's frames."""
     sc, layout, top, dx = state.scenario, state.layout, state.top, state.dx
     top_a, top_k = layout.top_a, layout.top_k
-    rho_e, _, th_e, co_e = _extend(sc, state.rho, state.u[:, 0], state.theta, coeffs)
-    co_top = co_e[top_a, top_k]
-    dfdx = (co_top[:, 1:] - co_top[:, :-1]) / dx            # (n_top, n+1) face gradients
+    nonlinear = cfg.closure == "nonlinear"
+    # the backward Euler of the linear closure needs no face gradients
+    gradients = explicit or nonlinear
+    rho_e, _, th_e, co_e = _extend(sc, state.rho, state.u[:, 0], state.theta,
+                                   coeffs if gradients else None)
     rho_f = 0.5 * (rho_e[:-1] + rho_e[1:])
     th_f = 0.5 * (th_e[:-1] + th_e[1:])
     tau_f = sc.tau_model.tau(sc.kn, rho_f, th_f)
-
-    c_lin = top.linear(th_f, tau_f, dfdx)                   # (n_top, n+1)
-    if cfg.closure == "nonlinear":
-        p_e = rho_e * th_e
-        p_x = (p_e[1:] - p_e[:-1]) / dx
-        co_f = 0.5 * (co_e[..., :-1] + co_e[..., 1:])
-        sig_cells, q1_cells = sigma11_q1(layout, co_e)
-        sig_f = 0.5 * (sig_cells[:-1] + sig_cells[1:])
-        q1_f = 0.5 * (q1_cells[:-1] + q1_cells[1:])
-        c_full = top.nonlinear(rho_f, th_f, tau_f, p_x, co_f, dfdx, sig_f, q1_f)
-    else:
-        c_full = c_lin
-
     rate = dt / dx * top.transport_factor[:, None]
-    if explicit:
-        coeffs[top_a, top_k] -= rate * (c_full[:, 1:] - c_full[:, :-1])
-        return
 
-    # Backward Euler on the diffusive core; the nonlinear remainder (if any)
-    # is non-stiff and goes in explicitly first.
-    if cfg.closure == "nonlinear":
+    if gradients:
+        co_top = co_e[top_a, top_k]
+        dfdx = (co_top[:, 1:] - co_top[:, :-1]) / dx        # (n_top, n+1) face gradients
+        c_lin = top.linear(th_f, tau_f, dfdx)               # (n_top, n+1)
+        if nonlinear:
+            p_e = rho_e * th_e
+            p_x = (p_e[1:] - p_e[:-1]) / dx
+            co_f = 0.5 * (co_e[..., :-1] + co_e[..., 1:])
+            sig_cells, q1_cells = sigma11_q1(layout, co_e)
+            sig_f = 0.5 * (sig_cells[:-1] + sig_cells[1:])
+            q1_f = 0.5 * (q1_cells[:-1] + q1_cells[1:])
+            c_full = top.nonlinear(rho_f, th_f, tau_f, p_x, co_f, dfdx, sig_f, q1_f)
+        else:
+            c_full = c_lin
+        if explicit:
+            coeffs[top_a, top_k] -= rate * (c_full[:, 1:] - c_full[:, :-1])
+            return
+        # Backward Euler on the diffusive core; the nonlinear remainder is
+        # non-stiff and goes in explicitly first.
         rest = c_full - c_lin
         coeffs[top_a, top_k] -= rate * (rest[:, 1:] - rest[:, :-1])
+
     kappa_f = tau_f * th_f                                   # (n+1,)
     g = (dt * (top_a + 1) / dx**2)[:, None]                  # one system per top entry
     lower = -g * kappa_f[:-1]
@@ -277,69 +336,100 @@ def _regularize(state: SimState, cfg: SolverConfig, dt: float, explicit: bool,
     coeffs[top_a, top_k] = sol
 
 
+def _face_fluxes(lay: AxisymmetricLayout, scr: _Scratch, g, u1, theta):
+    """The LLF flux phi (M+1, K, n+1) of every face in the face's frame, the
+    arithmetic mean of its sides' frames, and those frames (2, n+1): u_1 and
+    theta.  Both sides of all faces go through one projection call."""
+    sides, side_frames = scr.fill_sides(g, u1, theta)
+    face_frames = 0.5 * (side_frames[:, 0] + side_frames[:, 1])
+    u_f, th_f = face_frames
+    shift = face_frames[:, None] - side_frames
+    g_lr = project_coeffs(lay, sides, shift[0], shift[1])
+    g_l, g_r = g_lr[:, :, 0], g_lr[:, :, 1]
+    # the flux is linear in g: F of the side mean, less the LLF dissipation,
+    # whose wavespeed bound is the extreme characteristic speed of the frozen
+    # interface-frame system
+    lam_f = np.abs(u_f) + scr.c_top * np.sqrt(th_f)
+    phi = flux_coefficients(lay, 0.5 * (g_l + g_r), u_f, th_f)
+    phi -= 0.5 * lam_f * (g_r - g_l)
+    return phi, face_frames
+
+
 def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> float:
     """Advance the state by one time step in place; returns dt taken."""
-    sc, lay = state.scenario, state.layout
+    sc, lay, g = state.scenario, state.layout, state.coeffs
     dx = state.dx
-    u1 = state.u[:, 0]
+    u1, theta = state.u[:, 0], state.theta
+    scr = state.scratch
+    if scr is None:
+        scr = state.scratch = _Scratch(sc, lay, u1.size)
+    rho0, theta0, tau = scr.tau
+    if rho0 is not state.rho or theta0 is not theta:   # not the last step's result
+        tau = np.asarray(sc.tau_model.tau(sc.kn, state.rho, theta), dtype=float)
 
-    c_top = hermite_roots(cfg.order + 1)[-1]
-    lam = np.abs(u1) + c_top * np.sqrt(state.theta)
-    tau = np.asarray(sc.tau_model.tau(sc.kn, state.rho, state.theta), dtype=float)
-    dt_adv = dx / lam.max()
-    kappa_max = (cfg.order + 1) * float((tau * state.theta).max())
+    lam = np.abs(u1) + scr.c_top * np.sqrt(theta)
+    state.max_speed = float(lam.max())
+    dt_adv = dx / state.max_speed
+    kappa_max = (lay.order + 1) * float((tau * theta).max())
     # diffusion is integrated explicitly exactly when it is not stiff
     explicit = 0.5 * dx**2 / kappa_max >= dt_adv
     dt = cfg.cfl * dt_adv
     if dt_limit is not None:
         dt = min(dt, dt_limit)
-    state.max_speed = float(lam.max())
+    rate = dt / dx
 
-    # --- (c) leading half of the relaxation --------------------------------
-    relaxed = lead((lay.grades >= 2) & (lay.grades <= lay.order), state.coeffs)
-    state.coeffs *= np.where(relaxed, np.exp(-0.5 * dt / tau), 1.0)
+    # --- (c) leading half of the relaxation: every grade a + 2k >= 2 ------
+    decay = np.exp(-0.5 * dt / tau)
+    g[2:, 0] *= decay
+    g[:, 1:] *= decay
 
     # --- (a) hyperbolic transport in shared interface frames -------------
-    rho_e, u_e, th_e, co_e = _extend(sc, state.rho, u1, state.theta, state.coeffs)
-    u_f = 0.5 * (u_e[:-1] + u_e[1:])
-    th_f = 0.5 * (th_e[:-1] + th_e[1:])
-    g_lr = project_coeffs(lay, _sides(co_e), u_f - _sides(u_e), th_f - _sides(th_e))
-    f_lr = flux_coefficients(lay, g_lr, u_f, th_f)
-    # substep (a) transports with the frozen interface-frame flux, a linear
-    # system whose extreme characteristic speed is exactly this bound
-    lam_f = np.abs(u_f) + c_top * np.sqrt(th_f)
-    phi = (0.5 * (f_lr[:, :, 0] + f_lr[:, :, 1])
-           - 0.5 * lam_f * (g_lr[:, :, 1] - g_lr[:, :, 0]))
-
-    # (mass, momentum_1, energy) fluxes through the domain boundaries, for the
-    # books; the transverse momentum fluxes are 0
-    ends = [0, -1]
-    bflux = np.stack(conserved_from_coeffs(lay, phi[..., ends], u_f[ends], th_f[ends]))
-    state.boundary_account[[0, 1, -1]] += dt * (bflux[:, 0] - bflux[:, 1])
-
-    # the faces of each cell are its left (side 0) and right (side 1) neighbours
-    phi_lr = project_coeffs(lay, _sides(phi), u1 - _sides(u_f), state.theta - _sides(th_f))
-    state.coeffs -= dt / dx * (phi_lr[:, :, 1] - phi_lr[:, :, 0])
+    phi, face_frames = _face_fluxes(lay, scr, g, u1, theta)
 
     # --- conserved recovery and frame move: the step's positivity test ----
-    rho_new, m1, energy = conserved_from_coeffs(lay, state.coeffs, u1, state.theta)
+    # each cell with its left and right face fluxes, and their frames
+    rows, frames = scr.rows, scr.frames
+    rows[:, :, 0] = g
+    rows[:, :, 1] = phi[..., :-1]
+    rows[:, :, 2] = phi[..., 1:]
+    frames[0, 0], frames[1, 0] = u1, theta
+    frames[:, 1] = face_frames[:, :-1]
+    frames[:, 2] = face_frames[:, 1:]
+    # (rho, m_1, E) of each row in its own frame: moments of order <= M do
+    # not depend on the frame, so the cell's new ones follow from these
+    cons = np.stack(conserved_from_coeffs(lay, rows, frames[0], frames[1]))   # (3, 3, n)
+    # the domain-boundary fluxes go into the books; transverse momenta are 0
+    state.boundary_account[[0, 1, -1]] += dt * (cons[:, 1, 0] - cons[:, 2, -1])
+    rho_new, m1, energy = cons[:, 0] - rate * (cons[:, 2] - cons[:, 1])
     u1_new, th_new = macro_from_conserved(rho_new, m1, energy, lay.dim)
     bad = ~(rho_new > 0.0) | ~(th_new > 0.0)     # NaN counts as bad
     if bad.any():
         raise SolverBreakdown("non-positive or NaN density or temperature after "
                               "transport", int(np.argmax(bad)), state.t)
-    state.coeffs = project_coeffs(lay, state.coeffs, u1_new - u1, th_new - state.theta)
-    enforce_constraints(lay, state.coeffs, rho_new)
+
+    # all three rows re-expanded in the new frame by one call, and the cell
+    # updated there
+    new = project_coeffs(lay, rows, u1_new - frames[0], th_new - frames[1])
+    div = np.subtract(new[:, :, 2], new[:, :, 1], out=new[:, :, 2])
+    div *= rate
+    np.subtract(new[:, :, 0], div, out=g)
+    enforce_constraints(lay, g, rho_new)
     state.rho, state.theta = rho_new, th_new
-    state.u = np.zeros_like(state.u)
     state.u[:, 0] = u1_new
 
     # --- (b) top-order regularization -------------------------------------
-    tau = np.asarray(sc.tau_model.tau(sc.kn, state.rho, state.theta), dtype=float)
-    _regularize(state, cfg, dt, explicit, tau, state.coeffs)
+    tau = np.asarray(sc.tau_model.tau(sc.kn, rho_new, th_new), dtype=float)
+    _regularize(state, cfg, dt, explicit, tau, g)
+    finite = np.isfinite(g[lay.top_a, lay.top_k]).all(axis=0)
+    if not finite.all():
+        raise SolverBreakdown("non-finite top-order coefficient after regularization",
+                              int(np.argmin(finite)), state.t)
 
     # --- (c) trailing half of the relaxation --------------------------------
-    state.coeffs *= np.where(relaxed, np.exp(-0.5 * dt / tau), 1.0)
+    decay = np.exp(-0.5 * dt / tau)
+    g[2:, 0] *= decay
+    g[:, 1:] *= decay
+    scr.tau = (rho_new, th_new, tau)     # the next step's leading tau
 
     state.t += dt
     state.steps += 1

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regmom import solver as solver_module
 from regmom.indices import AxisymmetricLayout
 from regmom.output import read_csv, snapshot_columns
 from regmom.scenarios import Scenario, TauModel, shock_structure, shock_tube
@@ -13,7 +14,8 @@ from regmom.solver import (SimState, SolverBreakdown, SolverConfig,
                            _regularize, _solve_banded_tridiag, _solve_cyclic_tridiag)
 from regmom.state import enforce_constraints
 
-from oracles import MacroState, constraint_residual, expand_full, raw_moment
+from oracles import (MacroState, constraint_residual, expand_full, raw_moment,
+                     three_projection_step)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -263,6 +265,123 @@ def test_nan_cell_raises_breakdown(branch, kn, monkeypatch):
     assert err.value.cell in (9, 10, 11)
     assert err.value.time == 0.0
     assert taken == [branch]
+
+
+def spy_branches(monkeypatch) -> list:
+    """The diffusion branch of each _regularize call the step makes, as it
+    makes them."""
+    taken = []
+
+    def spy(state, cfg, dt, explicit, tau, out):
+        taken.append("explicit" if explicit else "implicit")
+        return _regularize(state, cfg, dt, explicit, tau, out)
+
+    monkeypatch.setattr("regmom.solver._regularize", spy)
+    return taken
+
+
+@pytest.mark.parametrize("branch, kn", [("explicit", 0.02), ("implicit", 0.5)],
+                         ids=["explicit", "implicit"])
+def test_nonfinite_top_coefficient_raises_breakdown(branch, kn, monkeypatch):
+    # a NaN on the top grade leaves (rho, u_1, theta) finite, so only the
+    # test after the regularization can see it; it must not come back as a
+    # result, nor as a usage error from the banded solve
+    sc = shock_tube(kn=kn)
+    cfg = SolverConfig.from_scenario(sc, order=5, n_cells=32)
+    taken = spy_branches(monkeypatch)
+    state = make_state(sc, cfg)
+    state.coeffs[5, 0, 10] = np.nan
+    with pytest.raises(SolverBreakdown, match="non-finite top-order") as err:
+        step(state, cfg)
+    assert taken == [branch]
+    assert np.isfinite(state.rho).all() and np.isfinite(state.theta).all()
+    # the explicit stencil spreads the NaN over cells 8..12; the implicit
+    # solve couples every cell of the system
+    assert err.value.cell in (range(8, 13) if branch == "explicit" else range(32))
+    assert err.value.time == 0.0
+
+
+ORACLE_CASES = [(boundary, closure, branch)
+                for boundary in ("farfield-D1", "farfield-D2", "farfield-D3", "periodic")
+                for closure in ("linear", "nonlinear")
+                for branch in ("explicit", "implicit")]
+
+
+@pytest.mark.parametrize("boundary, closure, branch", ORACLE_CASES,
+                         ids=["-".join(c) for c in ORACLE_CASES])
+def test_step_matches_three_projection_oracle(boundary, closure, branch, monkeypatch):
+    # the step takes the new frame from the face fluxes and projects each
+    # cell and both of its face fluxes into it in one call; in exact
+    # arithmetic that is the three-projection step, so 100 steps agree to
+    # roundoff
+    kn = {"explicit": 0.01, "implicit": 0.5}[branch]
+    if boundary == "periodic":
+        sc = periodic_scenario(dim=3)
+        sc.kn = kn
+    else:
+        sc = shock_tube(kn=kn, dim=int(boundary[-1]))
+    cfg = SolverConfig.from_scenario(sc, order=5, n_cells=40, closure=closure, t_stop=None)
+    taken = spy_branches(monkeypatch)
+    got, ref = make_state(sc, cfg), make_state(sc, cfg)
+    for _ in range(100):
+        step(got, cfg)
+        three_projection_step(ref, cfg)
+    assert set(taken) == {branch}
+    assert got.steps == ref.steps == 100
+    for name in ("coeffs", "rho", "theta", "u", "boundary_account"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+    assert got.t == pytest.approx(ref.t, rel=1e-12)
+
+
+@pytest.mark.parametrize("scenario", ["tube-nonlinear", "structure-linear", "periodic"])
+def test_step_makes_two_projections_and_one_flux_call(scenario, monkeypatch):
+    # counted at the regmom.solver names, which the benchmark's tracer wraps
+    if scenario == "tube-nonlinear":
+        sc, closure = shock_tube(kn=0.5), "nonlinear"
+    elif scenario == "structure-linear":
+        sc, closure = shock_structure(3.0), "linear"
+    else:
+        sc, closure = periodic_scenario(), "linear"
+    cfg = SolverConfig.from_scenario(sc, order=4, n_cells=24, closure=closure)
+    state = make_state(sc, cfg)
+    calls = {"project_coeffs": 0, "flux_coefficients": 0}
+    for name in calls:
+        inner = getattr(solver_module, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, name, counted)
+    for n in (1, 2):
+        step(state, cfg)
+        assert calls == {"project_coeffs": 2 * n, "flux_coefficients": n}
+
+
+def test_step_reuses_trailing_tau_until_the_state_changes(monkeypatch):
+    # the trailing relaxation's tau is the next step's leading one; a state
+    # whose (rho, theta) arrays were replaced since gets its tau computed again
+    sc = shock_tube(kn=0.5)
+    cfg = SolverConfig.from_scenario(sc, order=4, n_cells=24)
+    state = make_state(sc, cfg)
+    calls = []
+    inner = TauModel.tau
+
+    def counted(self, kn, rho, theta):
+        calls.append(rho.size)
+        return inner(self, kn, rho, theta)
+
+    monkeypatch.setattr(TauModel, "tau", counted)
+    step(state, cfg)
+    assert calls == [24, 24, 25]      # leading cells, trailing cells, regularization faces
+    calls.clear()
+    step(state, cfg)
+    assert calls == [24, 25]
+    calls.clear()
+    state.rho = state.rho.copy()
+    step(state, cfg)
+    assert calls == [24, 24, 25]
 
 
 def test_steady_state_stop_on_uniform_state():
