@@ -129,7 +129,8 @@ def cmd_make_ref(args) -> int:
                "omega": scenario.tau_model.omega, "mach": args.mach}
     record = {"scenario": physics, "config": asdict(cfg), "t": state.t,
               "steps": state.steps, "residual": state.residual,
-              "converged": state.converged, "wall_time_s": time.perf_counter() - t0}
+              "converged": state.converged, "blocks": state.blocks,
+              "wall_time_s": time.perf_counter() - t0}
     if not state.converged:
         print(_not_converged(record), file=sys.stderr)
     output.write_columns(path, dvm.dvm_moments(state, grid))

@@ -108,7 +108,8 @@ def compare_profiles(xa, ya, xb, yb, column: str = "value",
     When b lives on an aligned integer refinement of a's grid it is restricted
     by cell averaging; otherwise it is interpolated linearly onto a's grid
     (restricted to the overlap).  ``normalize`` maps both profiles affinely so
-    their end values go to 0 and 1; ``align_center`` shifts each x-axis so the
+    their end values go to 0 and 1, and raises ValueError for a profile whose
+    two end values are equal; ``align_center`` shifts each x-axis so the
     half-level crossing sits at the origin before comparing (steady shocks are
     translation-invariant).
     """
@@ -117,6 +118,10 @@ def compare_profiles(xa, ya, xb, yb, column: str = "value",
     xb = np.asarray(xb, dtype=float)
     yb = np.asarray(yb, dtype=float)
     if normalize:
+        for y in (ya, yb):
+            if y[-1] == y[0]:
+                raise ValueError(f"cannot normalize {column!r}: both end values are "
+                                 f"{y[0]:.17g}")
         ya = (ya - ya[0]) / (ya[-1] - ya[0])
         yb = (yb - yb[0]) / (yb[-1] - yb[0])
     if align_center:

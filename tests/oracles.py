@@ -534,7 +534,7 @@ def flux_form_step(state, cfg, grid, ghosts=None, dt_limit: float | None = None,
         state.h = _flux_transport(state.h, h_l, h_r, v, dt / state.dx, periodic, scratch)
 
     if math.isfinite(sc.kn):
-        rho, u1, theta = _conserved(state, grid)
+        rho, u1, theta = _conserved(state.g, state.h, state.dim, grid)
         bad = ~(rho > 0.0) | ~(theta > 0.0)     # NaN counts as bad
         if bad.any():
             raise UnphysicalStateError(

@@ -1,12 +1,16 @@
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from regmom.dvm import (DVMConfig, DVMState, VelocityGrid, _ghosts, _Scratch,
-                        discrete_maxwellian, dvm_moments, dvm_run, dvm_step,
+import regmom.dvm
+from regmom.dvm import (MIN_BLOCK_CELL_NODES, DVMConfig, DVMState, VelocityGrid, _blocks,
+                        _ghosts, discrete_maxwellian, dvm_moments, dvm_run, dvm_step,
                         make_dvm_state, suggested_v_max)
 from regmom.scenarios import shock_structure, shock_tube
 from regmom.state import UnphysicalStateError
@@ -256,6 +260,126 @@ def test_step_matches_flux_form_oracle(case):
         assert np.abs(state.h - ref.h).max() <= bound
 
 
+BLOCK_CASES = {"farfield-D1": ("farfield", 1, 45, 40), "farfield-D2": ("farfield", 2, 64, 48),
+               "farfield-D3": ("farfield", 3, 97, 60), "periodic-D3": ("periodic", 3, 50, 44)}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_output_does_not_depend_on_block_count(case):
+    # each block reads its neighbours' pre-step rows as halo rows, so any
+    # split, run on any number of threads, gives the one-block result bit for bit
+    boundary, dim, n, nv = BLOCK_CASES[case]
+    sc = shock_tube(kn=0.02, dim=dim)
+    if boundary == "periodic":
+        sc = replace(sc, boundary="periodic", far_fields=None)
+    cfg = DVMConfig.from_scenario(sc, n_cells=n, n_v=nv, v_max=10.0)
+    grid = VelocityGrid.make(nv, cfg.v_max)
+    ghosts = _ghosts(sc, grid) if boundary == "farfield" else None
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # more thread switches, more chances of a race
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            for count in (1, 2, 3, 4):
+                state = make_dvm_state(sc, cfg, grid)
+                scratch = _blocks(n, nv, count)
+                assert len(scratch) == count
+                for _ in range(50):
+                    dvm_step(state, cfg, grid, ghosts=ghosts, scratch=scratch,
+                             pool=pool if count > 1 else None)
+                assert state.blocks == count
+                runs.append(state)
+    finally:
+        sys.setswitchinterval(interval)
+    one = runs[0]
+    for state in runs[1:]:
+        assert state.t == one.t
+        assert np.array_equal(state.g, one.g)
+        if dim > 1:
+            assert np.array_equal(state.h, one.h)
+
+
+def test_default_blocks_cover_the_mesh_with_no_block_below_the_floor():
+    for n, nv in ((8, 40), (1000, 200), (329, 200), (7, 10**5)):
+        blocks = _blocks(n, nv)
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == n
+        if len(blocks) > 1:
+            assert min((b.stop - b.start) * nv for b in blocks) >= MIN_BLOCK_CELL_NODES
+            assert min(b.stop - b.start for b in blocks) >= 2
+
+
+def cold_and_nan(n=32, nv=40, cold=None, nan=()):
+    """A periodic gas at rest; ``cold`` rows sit on one node, with a trace on
+    the next, and the v > 0 nodes of the ``nan`` rows are NaN, which upwind
+    transport carries to the right neighbour only."""
+    grid = VelocityGrid.make(nv, 10.0)
+    g, _ = discrete_maxwellian(grid, np.ones(n), np.zeros(n), np.ones(n))
+    if cold is not None:
+        g[cold] = 0.0
+        g[cold, 20], g[cold, 21] = (1.0 - 1e-6) / grid.dv, 1e-6 / grid.dv
+    for k in nan:
+        g[k, grid.v > 0.0] = np.nan
+    state = DVMState(scenario=periodic(1), x=np.zeros(n), dx=1.0 / n, g=g, h=None, t=0.5)
+    return state, DVMConfig(n_cells=n, n_v=nv, v_max=10.0), grid
+
+
+@pytest.mark.parametrize("corrupt, cell", [
+    (dict(nan=(20,)), "cell 20, t = 0.5"),
+    (dict(nan=(5, 20)), "cell 5, t = 0.5"),
+    (dict(nan=(27, 20)), "cell 20, t = 0.5"),
+    # a non-positive state anywhere outranks an unresolvable Maxwellian
+    (dict(cold=slice(2, 12), nan=(20,)), "cell 20, t = 0.5"),
+    (dict(cold=slice(18, 28)), r"cell 19 .* at t = 0\.5"),
+])
+def test_breakdown_across_blocks_names_the_lowest_bad_cell(corrupt, cell):
+    messages = []
+    with ThreadPoolExecutor(1) as pool:
+        for count in (1, 2):
+            state, cfg, grid = cold_and_nan(**corrupt)
+            with pytest.raises(UnphysicalStateError, match=cell) as err:
+                dvm_step(state, cfg, grid, scratch=_blocks(32, 40, count), pool=pool)
+            messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def tube_run_counting_threads(monkeypatch, poison_at=None):
+    """A tube large enough for one block per CPU; records the thread count
+    seen inside each step, and puts NaN in the last cell before step
+    ``poison_at``."""
+    sc = shock_tube(kn=0.02)
+    nv = 200
+    n = 2 * MIN_BLOCK_CELL_NODES // nv + 20
+    cfg = DVMConfig.from_scenario(sc, n_cells=n, n_v=nv, v_max=12.0, t_stop=0.003)
+    step, seen = regmom.dvm.dvm_step, []
+
+    def counted(state, *args, **kwargs):
+        if state.steps == poison_at:
+            state.g[-1] = np.nan
+        dt = step(state, *args, **kwargs)
+        seen.append(threading.active_count())
+        return dt
+
+    monkeypatch.setattr(regmom.dvm, "dvm_step", counted)
+    return sc, cfg, seen
+
+
+def test_dvm_run_stops_its_worker_threads(monkeypatch):
+    before = threading.active_count()
+    sc, cfg, seen = tube_run_counting_threads(monkeypatch)
+    state, _ = dvm_run(sc, cfg)
+    assert threading.active_count() == before
+    assert state.blocks == len(_blocks(cfg.n_cells, cfg.n_v))
+    if state.blocks > 1:
+        assert max(seen) == before + state.blocks - 1
+
+    sc, cfg, seen = tube_run_counting_threads(monkeypatch, poison_at=3)
+    with pytest.raises(UnphysicalStateError, match=f"cell {cfg.n_cells - 2}"):
+        dvm_run(sc, cfg)
+    assert len(seen) == 3
+    assert threading.active_count() == before
+
+
 def test_step_allocates_no_cell_by_node_array():
     sc = shock_tube(kn=0.02)
     n, nv = 200, 100
@@ -263,7 +387,7 @@ def test_step_allocates_no_cell_by_node_array():
     grid = VelocityGrid.make(nv, cfg.v_max)
     state = make_dvm_state(sc, cfg, grid)
     ghosts = _ghosts(sc, grid)
-    scratch = _Scratch(n, nv)
+    scratch = _blocks(n, nv)
     dvm_step(state, cfg, grid, ghosts=ghosts, scratch=scratch)
     tracemalloc.start()
     try:

@@ -58,6 +58,25 @@ def test_compare_normalize_and_align():
     assert aligned.linf < 0.02 < raw.linf
 
 
+@pytest.mark.parametrize("flat", ["a", "b"])
+def test_compare_normalize_rejects_a_flat_profile(flat):
+    # equal end values leave nothing to map to 0 and 1: not a NaN report
+    x = np.linspace(0.0, 1.0, 9)
+    ramp, level = 1.0 + x, np.full_like(x, 2.0)
+    ya, yb = (level, ramp) if flat == "a" else (ramp, level)
+    with pytest.raises(ValueError, match="cannot normalize 'theta'"):
+        compare_profiles(x, ya, x, yb, column="theta", normalize=True)
+
+
+def test_cli_compare_normalize_flat_profile_exit_code(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_columns(a, {"x": np.arange(6.0), "rho": np.ones(6)})
+    write_columns(b, {"x": np.arange(6.0), "rho": np.arange(6.0)})
+    assert main(["compare", str(a), str(b), "--normalize"]) == 2
+    captured = capsys.readouterr()
+    assert "cannot normalize 'rho'" in captured.err and "nan" not in captured.out
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--bogus-flag"])
@@ -172,6 +191,21 @@ def test_cli_determinism_byte_identical(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "final.csv").read_bytes() == (out2 / "final.csv").read_bytes()
+
+
+def test_cli_make_ref_determinism_byte_identical(tmp_path):
+    # a mesh large enough for one cell block per CPU, up to two
+    from regmom.dvm import _blocks
+
+    args = ["make-ref", "--scenario", "shock-tube", "--kn", "0.3", "--cells", "400",
+            "--nv", "200", "--vmax", "12", "--force"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
+    (csv1,), (csv2,) = out1.glob("dvm_*.csv"), out2.glob("dvm_*.csv")
+    assert csv1.read_bytes() == csv2.read_bytes()
+    record = json.loads(csv1.with_suffix(".json").read_text())
+    assert record["blocks"] == len(_blocks(400, 200)) >= 1
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path):
