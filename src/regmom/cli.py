@@ -89,6 +89,8 @@ def cmd_run(args) -> int:
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
         return 1
     wall = time.perf_counter() - t0
+    if not state.converged:
+        _warn_not_converged(state.residual, cfg.steady_tol, state.t)
     output.write_snapshot(out / "final.csv", state, dump_coeffs=args.dump_coeffs)
     summary = {
         "manifest": asdict(manifest), "breakdown": None,
@@ -121,7 +123,8 @@ def cmd_make_ref(args) -> int:
         if not record_path.exists():
             print(f"no run record: {record_path}", file=sys.stderr)
         elif not (record := json.loads(record_path.read_text()))["converged"]:
-            print(_not_converged(record), file=sys.stderr)
+            _warn_not_converged(record["residual"], record["config"]["steady_tol"],
+                                record["t"])
         return 0
     t0 = time.perf_counter()
     state, grid = dvm.dvm_run(scenario, cfg)
@@ -132,17 +135,18 @@ def cmd_make_ref(args) -> int:
               "converged": state.converged, "blocks": state.blocks,
               "wall_time_s": time.perf_counter() - t0}
     if not state.converged:
-        print(_not_converged(record), file=sys.stderr)
+        _warn_not_converged(state.residual, cfg.steady_tol, state.t)
     output.write_columns(path, dvm.dvm_moments(state, grid))
     record_path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path} (t = {state.t:.6g}, {state.steps} steps)")
     return 0
 
 
-def _not_converged(record: dict) -> str:
-    """The stderr line for a reference whose steady search reached t_max."""
-    return (f"not converged: residual {record['residual']:.3g} >= "
-            f"{record['config']['steady_tol']:g} at t = {record['t']:.6g}")
+def _warn_not_converged(residual: float | None, steady_tol: float, t: float) -> None:
+    """The stderr line of `run` and `make-ref` for a steady search that reached
+    t_max (before its first checkpoint, it measured no residual)."""
+    measured = "none measured" if residual is None else f"{residual:.3g} >= {steady_tol:g}"
+    print(f"not converged: residual {measured} at t = {t:.6g}", file=sys.stderr)
 
 
 def cmd_compare(args) -> int:

@@ -52,10 +52,13 @@ def write_snapshot(path, state, dump_coeffs: bool = False) -> None:
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
+    """Columns of a CSV file by header name; ValueError when it has no data rows."""
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
-        names = next(reader)
+        names = next(reader, [])
         rows = [[float(v) for v in row] for row in reader if row]
+    if not rows:
+        raise ValueError(f"{path} has no data rows")
     data = np.asarray(rows)
     return {name: data[:, j] for j, name in enumerate(names)}
 
@@ -108,20 +111,22 @@ def compare_profiles(xa, ya, xb, yb, column: str = "value",
     When b lives on an aligned integer refinement of a's grid it is restricted
     by cell averaging; otherwise it is interpolated linearly onto a's grid
     (restricted to the overlap).  ``normalize`` maps both profiles affinely so
-    their end values go to 0 and 1, and raises ValueError for a profile whose
-    two end values are equal; ``align_center`` shifts each x-axis so the
+    their end values go to 0 and 1; ``align_center`` shifts each x-axis so the
     half-level crossing sits at the origin before comparing (steady shocks are
-    translation-invariant).
+    translation-invariant).  Both read the level from the end values, and
+    raise ValueError for a profile whose two end values are equal.
     """
     xa = np.asarray(xa, dtype=float)
     ya = np.asarray(ya, dtype=float)
     xb = np.asarray(xb, dtype=float)
     yb = np.asarray(yb, dtype=float)
-    if normalize:
+    if normalize or align_center:
         for y in (ya, yb):
             if y[-1] == y[0]:
-                raise ValueError(f"cannot normalize {column!r}: both end values are "
+                what = "normalize" if normalize else "align the center of"
+                raise ValueError(f"cannot {what} {column!r}: both end values are "
                                  f"{y[0]:.17g}")
+    if normalize:
         ya = (ya - ya[0]) / (ya[-1] - ya[0])
         yb = (yb - yb[0]) / (yb[-1] - yb[0])
     if align_center:

@@ -34,8 +34,10 @@ value per cell or face.  One time step is a Lie splitting of three substeps:
       dx^2 / (2 max (M+1) tau theta) is at least the advective dx / max
       wavespeed, otherwise by backward Euler, with the tridiagonal systems
       of all top entries stacked block-diagonally and solved by one LAPACK
-      gtsv call.  The extra terms of the nonlinear closure are never stiff and
-      are always explicit.
+      gtsv call.  gtsv is loaded from scipy's _flapack extension alone
+      (_gtsv): importing scipy.linalg for it would cost the first stiff step
+      about 0.2 s and the process about 25 MB.  The extra terms of the
+      nonlinear closure are never stiff and are always explicit.
 
   (c) BGK relaxation, exact in the local frame: every coefficient of grade
       a + 2k >= 2 decays by exp(-dt/tau) in total; conserved moments are untouched.
@@ -58,7 +60,12 @@ grade up to the top grade.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,20 +250,49 @@ def _extend(scenario: Scenario, rho, u1, theta, coeffs):
     return rho_e, u_e, th_e, co_e
 
 
+@functools.cache
+def _gtsv():
+    """LAPACK's dgtsv from scipy's ``_flapack`` extension, loaded on its own.
+
+    Importing ``scipy.linalg`` runs the package's ``__init__``, which pulls in
+    numpy.testing, numpy.f2py, unittest and more: about 0.2 s and 25 MB of
+    resident memory, against a few ms and 3 MB for the extension alone.  The
+    module is loaded under its package name, so a later ``import scipy.linalg``
+    reuses this very extension module (CPython caches single-phase extension
+    modules).  Without the file, the public import gives the same routine.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name].dgtsv
+    spec = importlib.util.find_spec("scipy")        # locates scipy, does not import it
+    for base in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+                return module.dgtsv
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
+
+
 def _solve_banded_tridiag(lower, diag, upper, rhs):
     """Solve independent tridiagonal systems with one LAPACK gtsv call.
 
     lower, diag, upper are (..., n): one system per leading index, with
     lower[..., 0] and upper[..., -1] unused.  rhs is (..., n) or (..., n, m).
     The systems are stacked block-diagonally with zero coupling between blocks.
-    Raises LinAlgError on a zero pivot.
+    Raises LinAlgError on a zero pivot.  gtsv comes from _gtsv(), loaded at the
+    first call without importing scipy.linalg.
     """
-    from scipy.linalg.lapack import dgtsv   # lazy: scipy.linalg costs ~0.2 s to import
     dl = lower.copy()
     dl[..., 0] = 0.0
     du = upper.copy()
     du[..., -1] = 0.0
     b = rhs.reshape((diag.size,) + rhs.shape[diag.ndim:])
+    dgtsv = _gtsv()
     x, info = dgtsv(dl.reshape(-1)[1:], diag.reshape(-1), du.reshape(-1)[:-1], b,
                     overwrite_dl=True, overwrite_du=True)[3:]
     if info != 0:

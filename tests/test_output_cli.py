@@ -77,6 +77,28 @@ def test_cli_compare_normalize_flat_profile_exit_code(tmp_path, capsys):
     assert "cannot normalize 'rho'" in captured.err and "nan" not in captured.out
 
 
+@pytest.mark.parametrize("flat", ["a", "b"])
+def test_compare_align_center_rejects_a_flat_profile(flat):
+    # equal end values cross no half level: not a silent alignment at x[0]
+    x = np.linspace(0.0, 1.0, 9)
+    ramp, level = 1.0 + x, np.full_like(x, 2.0)
+    ya, yb = (level, ramp) if flat == "a" else (ramp, level)
+    with pytest.raises(ValueError, match="cannot align the center of 'theta'"):
+        compare_profiles(x, ya, x, yb, column="theta", align_center=True)
+
+
+@pytest.mark.parametrize("text", ["", "x,rho\n"], ids=["empty", "header-only"])
+def test_cli_compare_file_without_data_rows_exit_code(text, tmp_path, capsys):
+    bad, ok = tmp_path / "bad.csv", tmp_path / "ok.csv"
+    bad.write_text(text, encoding="ascii")
+    write_columns(ok, {"x": np.arange(4.0), "rho": np.ones(4)})
+    with pytest.raises(ValueError, match="bad.csv has no data rows"):
+        read_csv(bad)
+    for files in ([bad, ok], [ok, bad]):
+        assert main(["compare", *map(str, files)]) == 2
+        assert "bad.csv has no data rows" in capsys.readouterr().err
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--bogus-flag"])
@@ -153,6 +175,24 @@ def test_cli_reports_unconverged_steady_search(monkeypatch, tmp_path, capsys):
     assert summary["converged"] is False
     assert main(["make-ref", *args, "--nv", "40", "--out", str(tmp_path / "refs")]) == 0
     assert "not converged" in capsys.readouterr().err
+
+
+def test_cli_run_prints_unconverged_steady_search(monkeypatch, tmp_path, capsys):
+    import regmom.cli as cli
+
+    run = cli.solver.run
+    monkeypatch.setattr(cli.solver, "run",
+                        lambda state, cfg: run(state, replace(cfg, t_max=1.0)))
+    assert main(["run", "--scenario", "shock-structure", "--mach", "2", "--cells", "32",
+                 "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["converged"] is False
+    err = capsys.readouterr().err
+    assert err == (f"not converged: residual {summary['residual']:.3g} >= 1e-06 "
+                   f"at t = {summary['t']:.6g}\n")
+    # a run to t_stop searches no steady state and prints nothing
+    assert main(["run", "--cells", "16", "--out", str(tmp_path / "t")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _reject_constant(name):

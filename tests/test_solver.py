@@ -1,4 +1,9 @@
+import importlib.machinery
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -480,6 +485,88 @@ def test_batched_top_solve_matches_per_entry_solves(boundary, dim):
     assert np.abs(got[top] - ref[top]).max() <= 1e-13 * scale
     off = lay.grades != lay.order
     assert np.array_equal(got[off], state.coeffs[off])
+
+
+_FRESH_IMPLICIT_STEPS = """
+import json, math, sys
+import numpy as np
+import regmom.cli
+from regmom import scenarios, solver
+
+calls = {"banded": 0, "cyclic": 0}
+for name, key in (("_solve_banded_tridiag", "banded"), ("_solve_cyclic_tridiag", "cyclic")):
+    def counted(*args, _inner=getattr(solver, name), _key=key):
+        calls[_key] += 1
+        return _inner(*args)
+    setattr(solver, name, counted)
+
+ring = scenarios.Scenario(
+    name="periodic", dim=3, kn=0.5, tau_model=scenarios.TauModel("kn-over-rho"),
+    x_lo=0.0, x_hi=2.0 * math.pi, rho0=lambda x: 1.0 + 0.2 * np.sin(x),
+    u0=lambda x: np.zeros((np.asarray(x).size, 3)),
+    theta0=lambda x: 1.0 + 0.1 * np.cos(x), boundary="periodic", t_stop=0.2,
+    default_cells=64)
+first = None
+for sc, order, closure in ((scenarios.shock_tube(kn=0.5), 9, "nonlinear"),
+                           (ring, 4, "linear")):
+    cfg = solver.SolverConfig.from_scenario(sc, order=order, closure=closure)
+    state = solver.make_state(sc, cfg)
+    for _ in range(3):
+        solver.step(state, cfg)
+    first = first or solver._gtsv()
+print(json.dumps({
+    "loaded": sorted(m for m in ("scipy.linalg", "numpy.testing", "numpy.f2py")
+                     if m in sys.modules),
+    "calls": calls, "one_gtsv": solver._gtsv() is first}))
+"""
+
+
+def test_implicit_solves_never_import_scipy_linalg():
+    # a fresh interpreter: the tube's banded and the ring's cyclic solves load
+    # gtsv without the scipy.linalg package and its numpy.testing imports
+    src = Path(solver_module.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _FRESH_IMPLICIT_STEPS],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                          check=True)
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == []
+    assert result["calls"] == {"banded": 6, "cyclic": 3}    # every step implicit
+    assert result["one_gtsv"]
+
+
+def test_gtsv_is_one_routine_on_every_load_path(monkeypatch):
+    import scipy.linalg.lapack
+
+    rng = np.random.default_rng(15)
+    n = 17
+    systems = []
+    for lead, rhs_shape in (((), (n,)), ((2,), (2, n)), ((3,), (3, n, 4))):
+        lower = -rng.random(lead + (n,))
+        upper = -rng.random(lead + (n,))
+        diag = 2.5 + rng.random(lead + (n,))
+        systems.append((lower, diag, upper, rng.normal(size=rhs_shape)))
+
+    def solves():
+        out = [_solve_banded_tridiag(*system) for system in systems]
+        lower, diag, upper, rhs = systems[-1]
+        out.append(_solve_cyclic_tridiag(lower, diag, upper, lower[:, 0], upper[:, -1], rhs))
+        return out
+
+    gtsv = solver_module._gtsv
+    try:
+        gtsv.cache_clear()              # the loaded extension, from sys.modules
+        assert gtsv() is scipy.linalg.lapack.dgtsv
+        ref = solves()
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        gtsv.cache_clear()              # the extension file
+        assert gtsv() is scipy.linalg.lapack.dgtsv
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        gtsv.cache_clear()              # no file found: the public import
+        assert gtsv() is scipy.linalg.lapack.dgtsv
+        assert all(np.array_equal(a, b) for a, b in zip(solves(), ref, strict=True))
+    finally:
+        gtsv.cache_clear()
 
 
 def test_nsf_consistency_of_solver_stress():
