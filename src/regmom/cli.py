@@ -58,10 +58,14 @@ def _apply_config_defaults(parser, subparsers, argv: list[str]):
 
 
 def _coerce(parser, dest, text):
-    for action in parser._actions:
-        if action.dest == dest and action.type is not None:
-            return action.type(text)
-    return text
+    """A config value as its flag reads it; an on/off flag takes true or false."""
+    action = next(a for a in parser._actions if a.dest == dest)
+    try:
+        if action.nargs == 0:
+            return {"true": True, "false": False}[text.lower()]
+        return text if action.type is None else action.type(text)
+    except (KeyError, ValueError):
+        parser.error(f"config key {dest!r} cannot take the value {text!r}")
 
 
 def cmd_run(args) -> int:

@@ -9,7 +9,8 @@ dimensions):
     shock at Mach M0 (gamma = 5/3), variable-hard-sphere relaxation time, run
     to a steady profile.
 
-Scenarios can also be loaded from flat ``key = value`` text files.
+``parse_config`` reads a flat ``key = value`` file, which the command line's
+``--config`` turns into flag defaults; it builds no Scenario.
 ``integrate`` applies a scenario's stop rule for both solvers.
 """
 from __future__ import annotations

@@ -29,15 +29,13 @@ value per cell or face.  One time step is a Lie splitting of three substeps:
   (b) top-order regularization.  The closure value for the order-(M+1)
       coefficients enters only through (a+1) d g_(a+1,k) / dx on the top
       retained grade a + 2k = M; with the linear closure this is a diffusion
-      with coefficient (a+1) tau theta per coefficient.  Stiffness picks how
-      the diffusive core is integrated: explicitly when its stable step
-      dx^2 / (2 max (M+1) tau theta) is at least the advective dx / max
-      wavespeed, otherwise by backward Euler, with the tridiagonal systems
-      of all top entries stacked block-diagonally and solved by one LAPACK
-      gtsv call.  gtsv is loaded from scipy's _flapack extension alone
-      (_gtsv): importing scipy.linalg for it would cost the first stiff step
-      about 0.2 s and the process about 25 MB.  The extra terms of the
-      nonlinear closure are never stiff and are always explicit.
+      with coefficient (a+1) tau theta per coefficient.  The diffusive core
+      is integrated by backward Euler on every step, with the tridiagonal
+      systems of all top entries stacked block-diagonally and solved by one
+      LAPACK gtsv call.  gtsv is loaded from scipy's _flapack extension alone
+      (_gtsv): importing scipy.linalg for it would cost the first step about
+      0.2 s and the process about 25 MB.  The extra terms of the nonlinear
+      closure are never stiff and are always explicit.
 
   (c) BGK relaxation, exact in the local frame: every coefficient of grade
       a + 2k >= 2 decays by exp(-dt/tau) in total; conserved moments are untouched.
@@ -49,8 +47,8 @@ value per cell or face.  One time step is a Lie splitting of three substeps:
       tau is the next step's leading one (the same rho and theta), so it is
       computed once.
 
-The time step is dt = CFL * dx / max wavespeed in either case.  A step makes
-two projection calls and one flux call.
+The time step is dt = CFL * dx / max wavespeed.  A step makes two projection
+calls, one flux call and one tridiagonal solve.
 The step tests positivity once, after the conserved recovery of (a): a
 non-positive or NaN density or temperature raises SolverBreakdown with the
 offending cell and time; no limiter masks it.  A non-finite top-grade
@@ -319,42 +317,33 @@ def _solve_cyclic_tridiag(lower, diag, upper, corner_tr, corner_bl, rhs):
     return (y - z * (vy / (1.0 + vz))[..., None, :]).reshape(rhs.shape)
 
 
-def _regularize(state: SimState, cfg: SolverConfig, dt: float, explicit: bool,
-                tau, coeffs) -> None:
+def _regularize(state: SimState, cfg: SolverConfig, dt: float, coeffs) -> None:
     """Substep (b): apply the top-order closure as a flux on the grade a + 2k = M
-    of ``coeffs``, in the state's frames."""
+    of ``coeffs``, in the state's frames: backward Euler on the diffusive
+    core, after the nonlinear closure's explicit remainder."""
     sc, layout, top, dx = state.scenario, state.layout, state.top, state.dx
     top_a, top_k = layout.top_a, layout.top_k
     nonlinear = cfg.closure == "nonlinear"
-    # the backward Euler of the linear closure needs no face gradients
-    gradients = explicit or nonlinear
+    # only the nonlinear remainder needs the ghost coefficients
     rho_e, _, th_e, co_e = _extend(sc, state.rho, state.u[:, 0], state.theta,
-                                   coeffs if gradients else None)
+                                   coeffs if nonlinear else None)
     rho_f = 0.5 * (rho_e[:-1] + rho_e[1:])
     th_f = 0.5 * (th_e[:-1] + th_e[1:])
     tau_f = sc.tau_model.tau(sc.kn, rho_f, th_f)
-    rate = dt / dx * top.transport_factor[:, None]
 
-    if gradients:
+    if nonlinear:
         co_top = co_e[top_a, top_k]
         dfdx = (co_top[:, 1:] - co_top[:, :-1]) / dx        # (n_top, n+1) face gradients
-        c_lin = top.linear(th_f, tau_f, dfdx)               # (n_top, n+1)
-        if nonlinear:
-            p_e = rho_e * th_e
-            p_x = (p_e[1:] - p_e[:-1]) / dx
-            co_f = 0.5 * (co_e[..., :-1] + co_e[..., 1:])
-            sig_cells, q1_cells = sigma11_q1(layout, co_e)
-            sig_f = 0.5 * (sig_cells[:-1] + sig_cells[1:])
-            q1_f = 0.5 * (q1_cells[:-1] + q1_cells[1:])
-            c_full = top.nonlinear(rho_f, th_f, tau_f, p_x, co_f, dfdx, sig_f, q1_f)
-        else:
-            c_full = c_lin
-        if explicit:
-            coeffs[top_a, top_k] -= rate * (c_full[:, 1:] - c_full[:, :-1])
-            return
-        # Backward Euler on the diffusive core; the nonlinear remainder is
-        # non-stiff and goes in explicitly first.
-        rest = c_full - c_lin
+        p_e = rho_e * th_e
+        p_x = (p_e[1:] - p_e[:-1]) / dx
+        co_f = 0.5 * (co_e[..., :-1] + co_e[..., 1:])
+        sig_cells, q1_cells = sigma11_q1(layout, co_e)
+        sig_f = 0.5 * (sig_cells[:-1] + sig_cells[1:])
+        q1_f = 0.5 * (q1_cells[:-1] + q1_cells[1:])
+        c_full = top.nonlinear(rho_f, th_f, tau_f, p_x, co_f, dfdx, sig_f, q1_f)
+        # the remainder is non-stiff and goes in explicitly first
+        rest = c_full - top.linear(th_f, tau_f, dfdx)
+        rate = dt / dx * top.transport_factor[:, None]
         coeffs[top_a, top_k] -= rate * (rest[:, 1:] - rest[:, :-1])
 
     kappa_f = tau_f * th_f                                   # (n+1,)
@@ -405,11 +394,7 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
 
     lam = np.abs(u1) + scr.c_top * np.sqrt(theta)
     state.max_speed = float(lam.max())
-    dt_adv = dx / state.max_speed
-    kappa_max = (lay.order + 1) * float((tau * theta).max())
-    # diffusion is integrated explicitly exactly when it is not stiff
-    explicit = 0.5 * dx**2 / kappa_max >= dt_adv
-    dt = cfg.cfl * dt_adv
+    dt = cfg.cfl * (dx / state.max_speed)
     if dt_limit is not None:
         dt = min(dt, dt_limit)
     rate = dt / dx
@@ -455,7 +440,7 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
 
     # --- (b) top-order regularization -------------------------------------
     tau = np.asarray(sc.tau_model.tau(sc.kn, rho_new, th_new), dtype=float)
-    _regularize(state, cfg, dt, explicit, tau, g)
+    _regularize(state, cfg, dt, g)
     finite = np.isfinite(g[lay.top_a, lay.top_k]).all(axis=0)
     if not finite.all():
         raise SolverBreakdown("non-finite top-order coefficient after regularization",

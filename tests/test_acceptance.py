@@ -6,6 +6,7 @@ lines; the whole suite is sized for a small workstation (about 15 minutes).
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from regmom.state import sigma11_q1
 from regmom.iteration import fd4
 
 from oracles import (QuadratureRule, he_derivative, he_eval, he_table, normalize_density,
-                     nsf_check)
+                     nsf_check, periodic_scenario)
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -174,26 +175,6 @@ def test_criterion_3_magnitude_law():
 # 4. NSF limit of the solver
 
 
-def _nsf_periodic_scenario(kn):
-    from regmom.scenarios import Scenario, TauModel
-
-    def rho0(x):
-        return 1.0 + 0.2 * np.sin(x)
-
-    def u0(x):
-        u = np.zeros((np.asarray(x).size, 3))
-        u[:, 0] = 0.1 * np.sin(x + 0.4)
-        return u
-
-    def theta0(x):
-        return 1.0 + 0.1 * np.cos(x + 0.9)
-
-    return Scenario(name="nsf", dim=3, kn=kn, tau_model=TauModel("kn-over-rho"),
-                    x_lo=0.0, x_hi=2.0 * math.pi, rho0=rho0, u0=u0,
-                    theta0=theta0, boundary="periodic", t_stop=0.25,
-                    default_cells=192)
-
-
 def test_criterion_4_nsf_limit():
     t0 = time.perf_counter()
     devs = []
@@ -202,7 +183,7 @@ def test_criterion_4_nsf_limit():
         # below the O(tau^2) deviation being measured; CFL 0.5 keeps the
         # symmetrized-relaxation bias small
         cells = int(round(192 * (1e-2 / kn) ** 1.5))
-        sc = _nsf_periodic_scenario(kn)
+        sc = replace(periodic_scenario(), kn=kn, t_stop=0.25)
         cfg = SolverConfig.from_scenario(sc, order=3, n_cells=cells, cfl=0.5)
         state = make_state(sc, cfg)
         run(state, cfg)
@@ -323,7 +304,7 @@ def test_criterion_7_shock_structure(structure_ref_m205):
 
 def test_criterion_8_conservation():
     # periodic manufactured run: machine-level drift per step
-    sc = _nsf_periodic_scenario(0.05)
+    sc = periodic_scenario()
     cfg = SolverConfig.from_scenario(sc, order=3, n_cells=64)
     state = make_state(sc, cfg)
     from regmom.solver import step

@@ -272,6 +272,26 @@ def test_cli_config_rejects_unknown_keys(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("line, columns", [("dump_coeffs = TRUE", True),
+                                          ("dump_coeffs = false", False),
+                                          ("dump_coeffs = no", None), ("cells = eight", None)])
+def test_cli_config_values_read_as_their_flags(tmp_path, capsys, line, columns):
+    # an on/off flag takes true or false in any case; any other value, or one
+    # that a typed flag cannot read, is a configuration error naming its key
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"cells = 8\n{line}\n")
+    args = ["run", "--config", str(cfgfile), "--out", str(tmp_path / "o")]
+    if columns is None:
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+    else:
+        assert main(args) == 0
+        header = (tmp_path / "o" / "final.csv").read_text().splitlines()[0].split(",")
+        assert ("g0_0" in header) is columns
+
+
 def test_cli_compare_subcommand(tmp_path, capsys):
     a = tmp_path / "a.csv"
     write_columns(a, {"x": np.arange(8.0), "rho": np.arange(8.0) ** 2})
