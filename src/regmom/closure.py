@@ -47,13 +47,21 @@ class TopOrderClosure:
         self.a, self.k = layout.top_a, layout.top_k
         self.transport_factor = (self.a + 1).astype(float)  # (alpha_1+1) in the flux
         self.beta1_plus1 = (self.a + 2).astype(float)       # (beta_1+1) in the closure
+        # for each neighbour (da, dk) that nonlinear() reads: the top entries
+        # that have it (no negative index) and its (a, k) index arrays
+        self._reads = {}
+        for da, dk in ((-1, 0), (-2, 0), (0, -1), (2, -1)):
+            a, k = self.a + da, self.k + dk
+            ok = (a >= 0) & (k >= 0)
+            self._reads[da, dk] = (None if ok.all() else np.flatnonzero(ok), a[ok], k[ok])
 
     def _at(self, g, da: int, dk: int):
         """g_(a+da, k+dk) at each top entry; 0 where an index is negative."""
-        a, k = self.a + da, self.k + dk
-        ok = (a >= 0) & (k >= 0)
-        out = np.zeros((a.size,) + g.shape[2:])
-        out[ok] = g[a[ok], k[ok]]
+        rows, a, k = self._reads[da, dk]
+        if rows is None:
+            return g[a, k]
+        out = np.zeros((self.a.size,) + g.shape[2:])
+        out[rows] = g[a, k]
         return out
 
     def linear(self, theta, tau, dfdx):

@@ -38,13 +38,16 @@ class TauModel:
     def __post_init__(self):
         if self.kind not in ("kn-over-rho", "vhs"):
             raise ValueError(f"unknown tau model {self.kind!r}")
+        if self.kind == "vhs":      # the VHS prefactor, computed once
+            w = self.omega
+            object.__setattr__(self, "_vhs", math.sqrt(math.pi / 2.0) * 15.0
+                               / ((5.0 - 2.0 * w) * (7.0 - 2.0 * w)))
 
     def tau(self, kn: float, rho, theta):
         if self.kind == "kn-over-rho":
             return kn / np.asarray(rho, dtype=float)
-        w = self.omega
-        c = math.sqrt(math.pi / 2.0) * 15.0 / ((5.0 - 2.0 * w) * (7.0 - 2.0 * w))
-        return c * kn * np.asarray(theta, dtype=float) ** (w - 1.0) / np.asarray(rho)
+        return (self._vhs * kn * np.asarray(theta, dtype=float) ** (self.omega - 1.0)
+                / np.asarray(rho))
 
 
 @dataclass

@@ -48,7 +48,8 @@ value per cell or face.  One time step is a Lie splitting of three substeps:
       computed once.
 
 The time step is dt = CFL * dx / max wavespeed.  A step makes two projection
-calls, one flux call and one tridiagonal solve.
+calls, one flux call and one tridiagonal solve, and allocates no
+coefficient-sized array: the buffers live on the state (_Scratch).
 The step tests positivity once, after the conserved recovery of (a): a
 non-positive or NaN density or temperature raises SolverBreakdown with the
 offending cell and time; no limiter masks it.  A non-finite top-grade
@@ -117,21 +118,41 @@ class SolverConfig:
 
 
 class _Scratch:
-    """What every step of one state reuses: c_{M+1}, the buffers of its two
-    projection calls, and tau of the state's (rho, theta)."""
+    """Every coefficient-sized array of a step, so that a warm step allocates
+    none: made on the state's first step (or regularization), kept on it.
+
+    Three buffers are the input, output and work of both projection calls:
+    first the two sides of each face, then each cell with its left and right
+    face flux.  Between the calls the input buffer holds the projected sides
+    side-first and the work buffer the LLF's side mean and jump; after the
+    second call the input buffer holds its output row-first.  So every large
+    ufunc runs on contiguous arrays: numpy (2.4) passes a strided operand
+    through its buffered iterator, with up to 192 KB of buffers per call and
+    several times the cost per value.  Beside these: c_{M+1}, the face flux,
+    the frames of both calls, (rho, theta) and, for the nonlinear closure,
+    the coefficients with a ghost cell on each side (far-field ghosts
+    written once) and their face averages, and tau of (rho, theta).
+    """
 
     def __init__(self, scenario: Scenario, layout: AxisymmetricLayout, n: int):
         self.c_top = float(hermite_roots(layout.order + 1)[-1])
-        # the two sides of each face, then each cell with its left and right
-        # face: one buffer, which the second projection refills
         sides_shape, rows_shape = layout.shape + (2, n + 1), layout.shape + (3, n)
-        sizes = math.prod(sides_shape), math.prod(rows_shape)
-        buf = np.empty(max(sizes))
-        self.sides = buf[:sizes[0]].reshape(sides_shape)
-        self.rows = buf[:sizes[1]].reshape(rows_shape)
+        size = max(math.prod(sides_shape), math.prod(rows_shape))
+        inp, out, work = np.empty((3, size))
+
+        def view(buf, *shape):
+            return buf[:math.prod(shape)].reshape(shape)
+        self.sides, self.g_lr, self.sides_work = (view(b, *sides_shape) for b in (inp, out, work))
+        self.sides_first = view(inp, 2, *layout.shape, n + 1)
+        self.mean_jump = view(work, 2, *layout.shape, n + 1)
+        self.rows, self.new, self.rows_work = (view(b, *rows_shape) for b in (inp, out, work))
+        self.rows_first = view(inp, 3, *layout.shape, n)
+        self.phi = np.empty(layout.shape + (n + 1,))
         # (u_1, theta) of the sides and of the rows
         self.side_frames = np.empty((2, 2, n + 1))
         self.frames = np.empty((2, 3, n))
+        self.macro_e = np.empty((2, n + 2))     # rho and theta with ghost cells
+        self.coeffs_e = self.coeffs_f = None    # made by the first nonlinear closure
         self.ghosts = None              # periodic: the ring closes on the mesh
         if scenario.boundary != "periodic":
             self.ghosts = np.zeros((2,) + layout.shape)
@@ -139,6 +160,7 @@ class _Scratch:
             self.ghosts[:, 0, 0] = rl, rr
             self.side_frames[:, 0, 0] = ul[0], tl
             self.side_frames[:, 1, -1] = ur[0], tr
+            self.macro_e[:, 0], self.macro_e[:, -1] = (rl, tl), (rr, tr)
         # tau with the (rho, theta) arrays it was computed from
         self.tau = (None, None, None)
 
@@ -158,6 +180,26 @@ class _Scratch:
         else:
             sides[..., 0, 0], sides[..., 1, -1] = self.ghosts
         return sides, fr
+
+    def extend(self, rho: np.ndarray, theta: np.ndarray, coeffs: np.ndarray | None = None):
+        """(rho, theta) with one ghost cell on each side, (2, n+2), and the
+        coefficients so extended, (M+1, K, n+2), when ``coeffs`` is given."""
+        ext = self.macro_e
+        ext[0, 1:-1], ext[1, 1:-1] = rho, theta
+        if self.ghosts is None:
+            ext[:, 0], ext[:, -1] = ext[:, -2], ext[:, 1]
+        if coeffs is None:
+            return ext, None
+        co_e = self.coeffs_e
+        if co_e is None:
+            co_e = self.coeffs_e = np.empty(coeffs.shape[:-1] + (coeffs.shape[-1] + 2,))
+            self.coeffs_f = np.empty(co_e.shape)
+            if self.ghosts is not None:
+                co_e[..., 0], co_e[..., -1] = self.ghosts
+        co_e[..., 1:-1] = coeffs
+        if self.ghosts is None:
+            co_e[..., 0], co_e[..., -1] = coeffs[..., -1], coeffs[..., 0]
+        return ext, co_e
 
 
 @dataclass
@@ -182,7 +224,7 @@ class SimState:
     residual: float | None = None   # measured only by a steady search
     converged: bool = False
     boundary_account: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    scratch: _Scratch | None = field(default=None, repr=False)   # made by the first step
+    scratch: _Scratch | None = field(default=None, repr=False)   # made on first use
 
     def conserved_totals(self) -> np.ndarray:
         """(mass, momentum_1..D, energy) integrated over the domain."""
@@ -216,36 +258,23 @@ def make_state(scenario: Scenario, cfg: SolverConfig) -> SimState:
     return state
 
 
-def flux_coefficients(layout: AxisymmetricLayout, g: np.ndarray, u1, theta) -> np.ndarray:
+def flux_coefficients(layout: AxisymmetricLayout, g: np.ndarray, u1, theta,
+                      out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Coefficient flux in a fixed frame (u1, theta).
 
     Multiplication by xi_1 maps g to
     theta g_(a-1,k) + u_1 g_(a,k) + (a+1) g_(a+1,k); the grade-(M+1)
-    coefficients count as zero (Grad truncation).
+    coefficients count as zero (Grad truncation).  ``out`` (must not alias
+    g) and ``work`` are arrays shaped like g, allocated when omitted.
     """
-    F = np.asarray(u1, dtype=float) * g
-    F[1:] += np.asarray(theta, dtype=float) * g[:-1]
-    F[:-1] += lead(np.arange(1.0, layout.order + 1), g) * g[1:]
+    F = np.multiply(np.asarray(u1, dtype=float), g, out=out)
+    w = (np.empty(g.shape) if work is None else work)[:-1]
+    np.multiply(np.asarray(theta, dtype=float), g[:-1], out=w)
+    F[1:] += w
+    np.multiply(lead(np.arange(1.0, layout.order + 1), g), g[1:], out=w)
+    F[:-1] += w
     F *= lead(layout.mask, g)
     return F
-
-
-def _extend(scenario: Scenario, rho, u1, theta, coeffs):
-    """State arrays with one ghost cell on each side (coeffs: cells last, or
-    None, which comes back as None)."""
-    if scenario.boundary == "periodic":
-        ring = np.arange(-1, rho.size + 1) % rho.size
-        return rho[ring], u1[ring], theta[ring], None if coeffs is None else coeffs[..., ring]
-    (rl, ul, tl), (rr, ur, tr) = scenario.far_fields
-    rho_e = np.concatenate([[rl], rho, [rr]])
-    u_e = np.concatenate([[ul[0]], u1, [ur[0]]])
-    th_e = np.concatenate([[tl], theta, [tr]])
-    if coeffs is None:
-        return rho_e, u_e, th_e, None
-    co_g = np.zeros(coeffs.shape[:-1] + (2,))
-    co_g[0, 0] = rl, rr
-    co_e = np.concatenate([co_g[..., :1], coeffs, co_g[..., 1:]], axis=-1)
-    return rho_e, u_e, th_e, co_e
 
 
 @functools.cache
@@ -306,9 +335,10 @@ def _solve_cyclic_tridiag(lower, diag, upper, corner_tr, corner_bl, rhs):
     d = diag.copy()
     d[..., 0] -= gamma
     d[..., -1] -= corner_tr * corner_bl / gamma
-    uvec = np.zeros(diag.shape + (1,))
-    uvec[..., 0, 0], uvec[..., -1, 0] = gamma, corner_bl
-    both = np.concatenate([rhs.reshape(diag.shape + (-1,)), uvec], axis=-1)
+    rhs_cols = rhs.reshape(diag.shape + (-1,))
+    both = np.zeros(rhs_cols.shape[:-1] + (rhs_cols.shape[-1] + 1,))
+    both[..., :-1] = rhs_cols
+    both[..., 0, -1], both[..., -1, -1] = gamma, corner_bl
     sol = _solve_banded_tridiag(lower, d, upper, both)
     y, z = sol[..., :-1], sol[..., -1:]                 # (..., n, m), (..., n, 1)
     ratio = (corner_tr / gamma)[..., None]
@@ -321,30 +351,15 @@ def _regularize(state: SimState, cfg: SolverConfig, dt: float, coeffs) -> None:
     """Substep (b): apply the top-order closure as a flux on the grade a + 2k = M
     of ``coeffs``, in the state's frames: backward Euler on the diffusive
     core, after the nonlinear closure's explicit remainder."""
-    sc, layout, top, dx = state.scenario, state.layout, state.top, state.dx
+    sc, layout, dx = state.scenario, state.layout, state.dx
     top_a, top_k = layout.top_a, layout.top_k
     nonlinear = cfg.closure == "nonlinear"
     # only the nonlinear remainder needs the ghost coefficients
-    rho_e, _, th_e, co_e = _extend(sc, state.rho, state.u[:, 0], state.theta,
-                                   coeffs if nonlinear else None)
-    rho_f = 0.5 * (rho_e[:-1] + rho_e[1:])
-    th_f = 0.5 * (th_e[:-1] + th_e[1:])
+    ext, co_e = _scratch(state).extend(state.rho, state.theta, coeffs if nonlinear else None)
+    rho_f, th_f = 0.5 * (ext[:, :-1] + ext[:, 1:])
     tau_f = sc.tau_model.tau(sc.kn, rho_f, th_f)
-
     if nonlinear:
-        co_top = co_e[top_a, top_k]
-        dfdx = (co_top[:, 1:] - co_top[:, :-1]) / dx        # (n_top, n+1) face gradients
-        p_e = rho_e * th_e
-        p_x = (p_e[1:] - p_e[:-1]) / dx
-        co_f = 0.5 * (co_e[..., :-1] + co_e[..., 1:])
-        sig_cells, q1_cells = sigma11_q1(layout, co_e)
-        sig_f = 0.5 * (sig_cells[:-1] + sig_cells[1:])
-        q1_f = 0.5 * (q1_cells[:-1] + q1_cells[1:])
-        c_full = top.nonlinear(rho_f, th_f, tau_f, p_x, co_f, dfdx, sig_f, q1_f)
-        # the remainder is non-stiff and goes in explicitly first
-        rest = c_full - top.linear(th_f, tau_f, dfdx)
-        rate = dt / dx * top.transport_factor[:, None]
-        coeffs[top_a, top_k] -= rate * (rest[:, 1:] - rest[:, :-1])
+        _nonlinear_remainder(state, dt, coeffs, ext, co_e, rho_f, th_f, tau_f)
 
     kappa_f = tau_f * th_f                                   # (n+1,)
     g = (dt * (top_a + 1) / dx**2)[:, None]                  # one system per top entry
@@ -361,6 +376,30 @@ def _regularize(state: SimState, cfg: SolverConfig, dt: float, coeffs) -> None:
     coeffs[top_a, top_k] = sol
 
 
+def _nonlinear_remainder(state: SimState, dt: float, coeffs, ext, co_e, rho_f, th_f, tau_f):
+    """The nonlinear closure less its linear part, a non-stiff flux applied
+    explicitly to the top grade of ``coeffs``; ext and co_e are (rho, theta)
+    and the coefficients with ghost cells, the rest face values."""
+    layout, top, dx = state.layout, state.top, state.dx
+    co_top = co_e[layout.top_a, layout.top_k]
+    dfdx = (co_top[:, 1:] - co_top[:, :-1]) / dx        # (n_top, n+1) face gradients
+    p_e = ext[0] * ext[1]
+    p_x = (p_e[1:] - p_e[:-1]) / dx
+    # face averages of all entries as one contiguous run: the sum of each
+    # value and the next, read where both belong to one entry
+    co_f = state.scratch.coeffs_f
+    flat, pairs = co_e.reshape(-1), co_f.reshape(-1)[:-1]
+    np.add(flat[:-1], flat[1:], out=pairs)
+    pairs *= 0.5
+    sig_cells, q1_cells = sigma11_q1(layout, co_e)
+    sig_f = 0.5 * (sig_cells[:-1] + sig_cells[1:])
+    q1_f = 0.5 * (q1_cells[:-1] + q1_cells[1:])
+    c_full = top.nonlinear(rho_f, th_f, tau_f, p_x, co_f[..., :-1], dfdx, sig_f, q1_f)
+    rest = c_full - top.linear(th_f, tau_f, dfdx)
+    rate = dt / dx * top.transport_factor[:, None]
+    coeffs[layout.top_a, layout.top_k] -= rate * (rest[:, 1:] - rest[:, :-1])
+
+
 def _face_fluxes(lay: AxisymmetricLayout, scr: _Scratch, g, u1, theta):
     """The LLF flux phi (M+1, K, n+1) of every face in the face's frame, the
     arithmetic mean of its sides' frames, and those frames (2, n+1): u_1 and
@@ -369,15 +408,37 @@ def _face_fluxes(lay: AxisymmetricLayout, scr: _Scratch, g, u1, theta):
     face_frames = 0.5 * (side_frames[:, 0] + side_frames[:, 1])
     u_f, th_f = face_frames
     shift = face_frames[:, None] - side_frames
-    g_lr = project_coeffs(lay, sides, shift[0], shift[1])
-    g_l, g_r = g_lr[:, :, 0], g_lr[:, :, 1]
+    g_lr = project_coeffs(lay, sides, shift[0], shift[1], out=scr.g_lr, work=scr.sides_work)
     # the flux is linear in g: F of the side mean, less the LLF dissipation,
     # whose wavespeed bound is the extreme characteristic speed of the frozen
-    # interface-frame system
+    # interface-frame system; the sides are copied side-first so that the
+    # mean and jump come from contiguous arrays
     lam_f = np.abs(u_f) + scr.c_top * np.sqrt(th_f)
-    phi = flux_coefficients(lay, 0.5 * (g_l + g_r), u_f, th_f)
-    phi -= 0.5 * lam_f * (g_r - g_l)
+    g_l, g_r = scr.sides_first
+    np.copyto(scr.sides_first, g_lr.transpose(2, 0, 1, 3))
+    mean, jump = scr.mean_jump
+    np.add(g_l, g_r, out=mean)
+    mean *= 0.5
+    phi = flux_coefficients(lay, mean, u_f, th_f, out=scr.phi, work=jump)
+    np.subtract(g_r, g_l, out=jump)
+    jump *= 0.5 * lam_f
+    phi -= jump
     return phi, face_frames
+
+
+def _relax(g: np.ndarray, decay: np.ndarray) -> None:
+    """Scale every coefficient of grade a + 2k >= 2 by ``decay`` (per cell), in
+    contiguous blocks: the rows a >= 2 whole, then k >= 1 of rows 0 and 1."""
+    g[2:] *= decay
+    g[0, 1:] *= decay
+    g[1, 1:] *= decay
+
+
+def _scratch(state: SimState) -> _Scratch:
+    """The state's step scratch, made on first use."""
+    if state.scratch is None:
+        state.scratch = _Scratch(state.scenario, state.layout, state.rho.size)
+    return state.scratch
 
 
 def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> float:
@@ -385,9 +446,7 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     sc, lay, g = state.scenario, state.layout, state.coeffs
     dx = state.dx
     u1, theta = state.u[:, 0], state.theta
-    scr = state.scratch
-    if scr is None:
-        scr = state.scratch = _Scratch(sc, lay, u1.size)
+    scr = _scratch(state)
     rho0, theta0, tau = scr.tau
     if rho0 is not state.rho or theta0 is not theta:   # not the last step's result
         tau = np.asarray(sc.tau_model.tau(sc.kn, state.rho, theta), dtype=float)
@@ -400,15 +459,14 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     rate = dt / dx
 
     # --- (c) leading half of the relaxation: every grade a + 2k >= 2 ------
-    decay = np.exp(-0.5 * dt / tau)
-    g[2:, 0] *= decay
-    g[:, 1:] *= decay
+    _relax(g, np.exp(-0.5 * dt / tau))
 
     # --- (a) hyperbolic transport in shared interface frames -------------
     phi, face_frames = _face_fluxes(lay, scr, g, u1, theta)
 
     # --- conserved recovery and frame move: the step's positivity test ----
-    # each cell with its left and right face fluxes, and their frames
+    # each cell with its left and right face fluxes, and their frames; the
+    # rows take the buffer of the first projection's (now dead) inputs
     rows, frames = scr.rows, scr.frames
     rows[:, :, 0] = g
     rows[:, :, 1] = phi[..., :-1]
@@ -423,17 +481,20 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     state.boundary_account[[0, 1, -1]] += dt * (cons[:, 1, 0] - cons[:, 2, -1])
     rho_new, m1, energy = cons[:, 0] - rate * (cons[:, 2] - cons[:, 1])
     u1_new, th_new = macro_from_conserved(rho_new, m1, energy, lay.dim)
-    bad = ~(rho_new > 0.0) | ~(th_new > 0.0)     # NaN counts as bad
-    if bad.any():
+    if not (rho_new.min() > 0.0 and th_new.min() > 0.0):     # NaN fails both
+        bad = ~(rho_new > 0.0) | ~(th_new > 0.0)
         raise SolverBreakdown("non-positive or NaN density or temperature after "
                               "transport", int(np.argmax(bad)), state.t)
 
     # all three rows re-expanded in the new frame by one call, and the cell
     # updated there
-    new = project_coeffs(lay, rows, u1_new - frames[0], th_new - frames[1])
-    div = np.subtract(new[:, :, 2], new[:, :, 1], out=new[:, :, 2])
+    new = project_coeffs(lay, rows, u1_new - frames[0], th_new - frames[1],
+                         out=scr.new, work=scr.rows_work)
+    cell, left, right = scr.rows_first
+    np.copyto(scr.rows_first, new.transpose(2, 0, 1, 3))
+    div = np.subtract(right, left, out=right)
     div *= rate
-    np.subtract(new[:, :, 0], div, out=g)
+    np.subtract(cell, div, out=g)
     enforce_constraints(lay, g, rho_new)
     state.rho, state.theta = rho_new, th_new
     state.u[:, 0] = u1_new
@@ -441,15 +502,13 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     # --- (b) top-order regularization -------------------------------------
     tau = np.asarray(sc.tau_model.tau(sc.kn, rho_new, th_new), dtype=float)
     _regularize(state, cfg, dt, g)
-    finite = np.isfinite(g[lay.top_a, lay.top_k]).all(axis=0)
-    if not finite.all():
+    top = g[lay.top_a, lay.top_k]
+    if not np.isfinite(top).all():
         raise SolverBreakdown("non-finite top-order coefficient after regularization",
-                              int(np.argmin(finite)), state.t)
+                              int(np.argmin(np.isfinite(top).all(axis=0))), state.t)
 
     # --- (c) trailing half of the relaxation --------------------------------
-    decay = np.exp(-0.5 * dt / tau)
-    g[2:, 0] *= decay
-    g[:, 1:] *= decay
+    _relax(g, np.exp(-0.5 * dt / tau))
     scr.tau = (rho_new, th_new, tau)     # the next step's leading tau
 
     state.t += dt

@@ -13,12 +13,17 @@ pinned by the frame: g_00 = rho, g_10 = 0 and g_20 + (D-1) g_01 =
 sum_d f_{2e_d} = 0 whenever (u_1, theta) match the conserved moments.
 Nothing here checks positivity: ``solver.step`` tests rho > 0 and theta > 0
 once, after ``macro_from_conserved``.
+
+``project_coeffs`` computes only the live entries a + 2k <= M and returns a
+zero corner for any input; it writes into caller-owned ``out`` and ``work``
+buffers, which is how a solver step avoids allocating coefficient-sized
+arrays.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .indices import AxisymmetricLayout, lead
+from .indices import AxisymmetricLayout
 from .indices import pad_zero  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 
 
@@ -48,7 +53,8 @@ def macro_from_conserved(rho, m1, energy, dim: int):
     return m1 / rho, 2.0 * internal / (dim * rho)
 
 
-def project_coeffs(layout: AxisymmetricLayout, g: np.ndarray, du1, dtheta) -> np.ndarray:
+def project_coeffs(layout: AxisymmetricLayout, g: np.ndarray, du1, dtheta,
+                   out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Re-expand coefficients g (M+1, K, ...) in the frame shifted by (du1, dtheta).
 
     Holding the distribution fixed while the frame moves gives df/ds = A f
@@ -57,22 +63,59 @@ def project_coeffs(layout: AxisymmetricLayout, g: np.ndarray, du1, dtheta) -> np
     exp(-du1 z - dtheta z^2 / 2), with (m+1) h_{m+1} = -du1 h_m - dtheta h_{m-1},
     then sum_l (-dtheta/2)^l / l! S_k^l.  Both raise the grade, so they stop at
     the layout order; velocity moments of order <= M are preserved exactly.
+
+    Only the live triangle a + 2k <= M is computed, one (a, k) entry at a
+    time: each entry's batch values are one contiguous run, which numpy
+    passes through its unbuffered loop (a strided slice across entries goes
+    through the buffered iterator, at several times the cost per value).
+    Entry (a, k) sums its a-series terms in the order m = 1, 2, ..., and the
+    k-series runs in place from the highest k down, so each entry still reads
+    its lower neighbours' a-series values.  The live entries depend on g's
+    live entries alone, and the corner a + 2k > M is zero for any g.
+    ``out`` (C-contiguous, must not alias g) and ``work`` are arrays shaped
+    like g, allocated when omitted; ``work`` holds the series coefficients.
     """
-    neg_du1 = -np.asarray(du1, dtype=float)
-    dtheta = np.asarray(dtheta, dtype=float)
-    out = g.copy()
-    h_prev, h = 1.0, neg_du1
-    for m in range(1, layout.order + 1):
-        out[m:] += h * g[:-m]
-        if m < layout.order:
-            h_prev, h = h, (neg_du1 * h - dtheta * h_prev) / (m + 1)
-    acc = out.copy()
-    c, half = 1.0, -0.5 * dtheta
-    for l in range(1, layout.shape[1]):
-        c = c * half / l
-        acc[:, l:] += c * out[:, :-l]
-    acc *= lead(layout.mask, acc)
-    return acc
+    order, n_k = layout.order, layout.shape[1]
+    batch = g.shape[2:]
+    neg_du1 = np.negative(du1, out=np.empty(batch)).reshape(-1)
+    dth = np.empty(batch)
+    dth[...] = dtheta
+    dtheta = dth.reshape(-1)
+    out = np.empty(g.shape) if out is None else out
+    if not out.flags.c_contiguous:
+        raise ValueError("project_coeffs needs a C-contiguous out")
+    np.copyto(out, g)
+    src = g.reshape(order + 1, n_k, -1)
+    dst = out.reshape(src.shape)
+    rows = (np.empty(g.shape) if work is None else work).reshape(-1, src.shape[-1])
+    h, prod = rows[:order], rows[order]      # h[m-1] holds h_m; prod one product
+    h[:1] = neg_du1
+    for m in range(1, order):
+        np.multiply(neg_du1, h[m - 1], out=h[m])
+        if m == 1:                           # h_0 = 1
+            np.subtract(h[m], dtheta, out=h[m])
+        else:
+            np.subtract(h[m], np.multiply(dtheta, h[m - 2], out=prod), out=h[m])
+        h[m] /= m + 1
+    for a in range(1, order + 1):
+        for k in range(min(n_k, (order - a) // 2 + 1)):
+            acc = dst[a, k]
+            for m in range(1, a + 1):
+                acc += np.multiply(h[m - 1], src[a - m, k], out=prod)
+    if n_k > 1:
+        c = rows[:n_k - 1]                   # c[l-1] holds (-dtheta/2)^l / l!
+        np.multiply(-0.5, dtheta, out=c[0])
+        for l in range(2, n_k):
+            np.multiply(c[l - 2], c[0], out=c[l - 1])
+            c[l - 1] /= l
+        for a in range(order - 1):
+            for k in range((order - a) // 2, 0, -1):
+                acc = dst[a, k]
+                for l in range(1, k + 1):
+                    acc += np.multiply(c[l - 1], dst[a, k - l], out=prod)
+        for k in range(1, n_k):
+            out[layout.top_a[k] + 1:, k] = 0.0
+    return out
 
 
 def _trace(layout: AxisymmetricLayout, g: np.ndarray) -> np.ndarray:

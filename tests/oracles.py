@@ -21,7 +21,8 @@ and Gauss quadrature, the iteration's first-order-law check and the
 shock-profile normalization.  It closes with the smooth periodic scenario
 that the solver tests, ACCEPT-4 and ACCEPT-8 share, and with the two steps
 the library reorders: the DVM step in flux form and the moment step with
-three projection calls.
+three projection calls, with the ghost cells it builds by concatenation
+(``_extend``).
 """
 import math
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from regmom.hermite import hermite_roots
 from regmom.indices import AxisymmetricLayout, enumerate_indices, lead
 from regmom.iteration import ManufacturedField, _sigma_q1, run_iteration
 from regmom.scenarios import Scenario, TauModel
-from regmom.solver import SolverBreakdown, _extend, _regularize, flux_coefficients
+from regmom.solver import SolverBreakdown, _regularize, flux_coefficients
 from regmom.state import (UnphysicalStateError, _trace, conserved_from_coeffs,
                           macro_from_conserved, project_coeffs)
 from regmom.state import enforce_constraints as pin_constraints
@@ -593,6 +594,24 @@ def _sides(x):
     out = np.empty(x.shape[:-1] + (2, x.shape[-1] - 1))
     out[..., 0, :], out[..., 1, :] = x[..., :-1], x[..., 1:]
     return out
+
+
+def _extend(scenario: Scenario, rho, u1, theta, coeffs):
+    """State arrays with one ghost cell on each side (coeffs: cells last, or
+    None, which comes back as None)."""
+    if scenario.boundary == "periodic":
+        ring = np.arange(-1, rho.size + 1) % rho.size
+        return rho[ring], u1[ring], theta[ring], None if coeffs is None else coeffs[..., ring]
+    (rl, ul, tl), (rr, ur, tr) = scenario.far_fields
+    rho_e = np.concatenate([[rl], rho, [rr]])
+    u_e = np.concatenate([[ul[0]], u1, [ur[0]]])
+    th_e = np.concatenate([[tl], theta, [tr]])
+    if coeffs is None:
+        return rho_e, u_e, th_e, None
+    co_g = np.zeros(coeffs.shape[:-1] + (2,))
+    co_g[0, 0] = rl, rr
+    co_e = np.concatenate([co_g[..., :1], coeffs, co_g[..., 1:]], axis=-1)
+    return rho_e, u_e, th_e, co_e
 
 
 def three_projection_step(state, cfg) -> float:

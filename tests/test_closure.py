@@ -254,3 +254,19 @@ def test_top_order_closure_matches_pointwise():
             assert vals_full[n] == pytest.approx(ref, rel=1e-12, abs=1e-15)
             ref = closure_linear(full, beta, mac.theta, 0.17, grads.coeffs_x)
             assert lin_full[n] == pytest.approx(ref, rel=1e-13, abs=1e-16)
+
+
+@pytest.mark.parametrize("order", range(3, 10))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_closure_neighbour_reads_match_masked_reads(order, dim):
+    # the index arrays made once per layout read what a mask built at every
+    # call reads: g_(a+da, k+dk) at each top entry, 0 where an index is negative
+    lay = AxisymmetricLayout(order, dim)
+    top = TopOrderClosure(lay)
+    g = np.random.default_rng(order + 10 * dim).normal(size=lay.shape + (6,)) * lay.mask[..., None]
+    for da, dk in ((-1, 0), (-2, 0), (0, -1), (2, -1)):
+        a, k = lay.top_a + da, lay.top_k + dk
+        ok = (a >= 0) & (k >= 0)
+        expect = np.zeros((a.size, 6))
+        expect[ok] = g[a[ok], k[ok]]
+        assert top._at(g, da, dk).tobytes() == expect.tobytes()

@@ -100,6 +100,17 @@ def test_tau_vhs_theta_power_inactive_at_unit_theta():
     assert a / b == pytest.approx(ratio, rel=1e-12)
 
 
+@pytest.mark.parametrize("omega", [0.5, 0.72, 1.0])
+def test_tau_is_the_written_formula_bit_for_bit(omega):
+    rng = np.random.default_rng(5)
+    rho, theta, kn = 0.5 + rng.random(40), 0.2 + 3.0 * rng.random(40), 0.37
+    c = math.sqrt(math.pi / 2.0) * 15.0 / ((5.0 - 2.0 * omega) * (7.0 - 2.0 * omega))
+    vhs = TauModel("vhs", omega=omega).tau(kn, rho, theta)
+    assert vhs.tobytes() == (c * kn * theta ** (omega - 1.0) / rho).tobytes()
+    plain = TauModel("kn-over-rho", omega=omega).tau(kn, rho, theta)
+    assert plain.tobytes() == (kn / rho).tobytes()
+
+
 def test_tau_model_rejects_unknown():
     with pytest.raises(ValueError):
         TauModel("bogus")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,12 +16,12 @@ from regmom.indices import AxisymmetricLayout
 from regmom.output import read_csv, snapshot_columns
 from regmom.scenarios import TauModel, shock_structure, shock_tube
 from regmom.solver import (SimState, SolverBreakdown, SolverConfig,
-                           flux_coefficients, make_state, run, step, _extend,
-                           _regularize, _solve_banded_tridiag, _solve_cyclic_tridiag)
+                           flux_coefficients, make_state, run, step, _regularize,
+                           _solve_banded_tridiag, _solve_cyclic_tridiag)
 from regmom.state import enforce_constraints
 
-from oracles import (MacroState, constraint_residual, expand_full, periodic_scenario,
-                     raw_moment, three_projection_step)
+from oracles import (MacroState, _extend, constraint_residual, expand_full,
+                     periodic_scenario, raw_moment, three_projection_step)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -314,6 +315,39 @@ def test_step_makes_two_projections_and_one_flux_call(scenario, monkeypatch):
         step(state, cfg)
         assert calls == {"project_coeffs": 2 * n, "flux_coefficients": n,
                          "_solve_banded_tridiag": n}
+
+
+def test_warm_step_allocates_no_coefficient_sized_array():
+    # every coefficient-sized array of a step lives on the state's scratch:
+    # once warm, a step of the M = 9 nonlinear tube peaks below two of them
+    sc = shock_tube(kn=0.5)
+    cfg = SolverConfig.from_scenario(sc, order=9, n_cells=200, closure="nonlinear")
+    state = make_state(sc, cfg)
+    for _ in range(3):
+        step(state, cfg)
+    tracemalloc.start()
+    try:
+        step(state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * state.coeffs.nbytes
+
+
+@pytest.mark.parametrize("boundary", ["farfield", "periodic"])
+def test_scratch_ghost_cells_match_extend(boundary):
+    # the regularization's ghost-extended buffers, refilled at every step,
+    # hold what the concatenating _extend builds: the far fields (written
+    # once) or the periodic ring around the cells
+    sc = shock_tube(kn=0.5) if boundary == "farfield" else periodic_scenario()
+    cfg = SolverConfig.from_scenario(sc, order=5, n_cells=30, closure="nonlinear")
+    state = make_state(sc, cfg)
+    for _ in range(3):
+        step(state, cfg)
+    ext, co_e = state.scratch.extend(state.rho, state.theta, state.coeffs)
+    rho_e, _, th_e, co_ref = _extend(sc, state.rho, state.u[:, 0], state.theta, state.coeffs)
+    assert np.array_equal(ext, np.stack([rho_e, th_e]))
+    assert np.array_equal(co_e, co_ref)
 
 
 def test_step_reuses_trailing_tau_until_the_state_changes(monkeypatch):

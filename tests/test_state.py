@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from regmom.indices import AxisymmetricLayout
+from regmom.indices import AxisymmetricLayout, lead
 from regmom.iteration import _sigma_q1
 from regmom.state import (UnphysicalStateError, conserved_from_coeffs, enforce_constraints,
                           macro_from_conserved, project_coeffs, sigma11_q1)
@@ -240,6 +240,56 @@ def test_project_coeffs_is_linear():
     lhs = project_coeffs(lay, 2.0 * a + 3.0 * b, du1, dth)
     rhs = 2.0 * project_coeffs(lay, a, du1, dth) + 3.0 * project_coeffs(lay, b, du1, dth)
     assert np.abs(lhs - rhs).max() < 1e-13 * max(1.0, np.abs(lhs).max())
+
+
+def full_rectangle_projection(lay, g, du1, dtheta):
+    """The projection series over the whole (M+1, K) rectangle, then the
+    mask: the same terms in the same order for each live entry."""
+    neg_du1 = -np.asarray(du1, dtype=float)
+    dtheta = np.asarray(dtheta, dtype=float)
+    out = g.copy()
+    h_prev, h = 1.0, neg_du1
+    for m in range(1, lay.order + 1):
+        out[m:] += h * g[:-m]
+        if m < lay.order:
+            h_prev, h = h, (neg_du1 * h - dtheta * h_prev) / (m + 1)
+    acc = out.copy()
+    c, half = 1.0, -0.5 * dtheta
+    for l in range(1, lay.shape[1]):
+        c = c * half / l
+        acc[:, l:] += c * out[:, :-l]
+    return acc * lead(lay.mask, acc)
+
+
+@pytest.mark.parametrize("order", range(3, 10))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_projection_contract(order, dim):
+    # the live triangle alone is projected, bit for bit as the full series
+    # does it, into the caller's buffers or fresh ones; the corner comes back
+    # zero whatever g holds there, and g is left as it was
+    lay = AxisymmetricLayout(order, dim)
+    rng = np.random.default_rng(100 * order + dim)
+    n = 7
+    for batch in ((), (n,), (2, n + 1)):
+        live = np.broadcast_to(lead(lay.mask, np.zeros(lay.shape + batch)) > 0.0,
+                               lay.shape + batch)
+        g = rng.normal(size=lay.shape + batch) * lead(lay.mask, live)
+        du1, dth = 0.4 * rng.normal(size=batch), 0.3 * rng.normal(size=batch)
+        before = g.copy()
+        fresh = project_coeffs(lay, g, du1, dth)
+        out, work = np.full(g.shape, np.nan), np.full(g.shape, np.nan)
+        buffered = project_coeffs(lay, g, du1, dth, out=out, work=work)
+        assert buffered is out
+        assert buffered.tobytes() == fresh.tobytes()
+        assert g.tobytes() == before.tobytes()
+        ref = full_rectangle_projection(lay, g, du1, dth)
+        assert buffered[live].tobytes() == ref[live].tobytes()
+        assert np.all(buffered[~live] == 0.0)
+        noisy = g + rng.normal(size=g.shape) * (~live)
+        assert np.all(noisy[~live] != 0.0)
+        got = project_coeffs(lay, noisy, du1, dth, out=out, work=work)
+        assert got[live].tobytes() == ref[live].tobytes()
+        assert np.all(got[~live] == 0.0)
 
 
 def test_project_then_conserved_frame_restores_constraints():
