@@ -39,6 +39,21 @@ def _scenario_from_args(args) -> scenarios.Scenario:
                                    omega=args.omega, dim=args.dim)
 
 
+def parse_config(path) -> dict[str, str]:
+    """Flat ``key = value`` file; '#' starts a comment, blank lines ignored."""
+    out: dict[str, str] = {}
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            key, value = line.split("=", 1)
+            out[key.strip()] = value.strip()
+    return out
+
+
 def _apply_config_defaults(parser, subparsers, argv: list[str]):
     """Parse once for --config, inject file values as subcommand defaults,
     then parse again so explicit flags win over the file."""
@@ -46,7 +61,7 @@ def _apply_config_defaults(parser, subparsers, argv: list[str]):
     sub = subparsers.get(getattr(pre, "command", None))
     if sub is not None and getattr(pre, "config", None):
         try:
-            values = scenarios.parse_config(pre.config)
+            values = parse_config(pre.config)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
         known = {a.dest for a in sub._actions}

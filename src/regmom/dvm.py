@@ -21,14 +21,16 @@ conservative to roundoff.  Relaxation with e = exp(-dt/tau) is
 
 with the weight 1 - e folded into the cell's (a, b, c).
 
-A step splits the cells into contiguous blocks, one per CPU the process may
-use, with no block smaller than MIN_BLOCK_CELL_NODES cell·nodes.  Transport
-and relaxation act on each cell alone except for the face difference at a
-block edge, so each block reads a copy of the pre-step row on either side of
-it (a far-field ghost row at a mesh end, the other end's row on a periodic
-mesh) and runs on its own thread.  The output does not depend on the number
-of blocks, and so not on the CPU count: every per-row product rounds the same
-way for any block of two or more rows.
+A far-field state carries the discrete Maxwellians of its two far fields as
+ghost rows, made by ``make_dvm_state``; a periodic one has none.  A step
+splits the cells into contiguous blocks, one per CPU the process may use,
+with no block smaller than MIN_BLOCK_CELL_NODES cell·nodes.  Transport and
+relaxation act on each cell alone except for the face difference at a block
+edge, so each block reads a copy of the pre-step row on either side of it (a
+ghost row at a mesh end, the other end's row on a periodic mesh) and runs on
+its own thread.  The output does not depend on the number of blocks, and so
+not on the CPU count: every per-row product rounds the same way for any
+block of two or more rows.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenarios import Scenario, check_mesh, integrate
+from .scenarios import Scenario, check_mesh, far_field_frames, integrate, sample
 from .state import UnphysicalStateError
 
 
@@ -90,12 +92,10 @@ class DVMConfig:
 
 def suggested_v_max(scenario: Scenario) -> float:
     """Covers 5 thermal widths beyond the largest far-field speed."""
-    if scenario.far_fields is None:
+    far = far_field_frames(scenario)
+    if far is None:
         return 10.0
-    out = 0.0
-    for rho, u, theta in scenario.far_fields:
-        out = max(out, abs(np.asarray(u).reshape(-1)[0]) + 5.0 * math.sqrt(theta))
-    return float(math.ceil(out))
+    return float(math.ceil(max(abs(u1) + 5.0 * math.sqrt(theta) for _, u1, theta in far)))
 
 
 @dataclass
@@ -105,11 +105,17 @@ class DVMState:
     dx: float
     g: np.ndarray            # (n, n_v)
     h: np.ndarray | None     # transverse energy density, dim > 1 only
+    # far field only: g (and h) rows left and right of the mesh, (1 or 2, 2, n_v)
+    ghosts: np.ndarray | None = None
     t: float = 0.0
     steps: int = 0
     residual: float | None = None   # measured only by a steady search
     converged: bool = False
     blocks: int = 1                 # cell blocks of the last step
+
+    def __post_init__(self):
+        if (self.ghosts is None) != (self.scenario.boundary == "periodic"):
+            raise ValueError("a far-field state needs ghost rows; a periodic one has none")
 
     @property
     def dim(self) -> int:
@@ -228,21 +234,16 @@ def dvm_moments(state: DVMState, grid: VelocityGrid) -> dict[str, np.ndarray]:
 
 
 def make_dvm_state(scenario: Scenario, cfg: DVMConfig, grid: VelocityGrid) -> DVMState:
-    n = cfg.n_cells
-    dx = (scenario.x_hi - scenario.x_lo) / n
-    x = scenario.x_lo + (np.arange(n) + 0.5) * dx
-    rho = np.asarray(scenario.rho0(x), dtype=float)
-    u1 = np.asarray(scenario.u0(x), dtype=float).reshape(n, scenario.dim)[:, 0]
-    theta = np.asarray(scenario.theta0(x), dtype=float)
-    g, h = discrete_maxwellian(grid, rho, u1, theta, scenario.dim)
-    return DVMState(scenario=scenario, x=x, dx=dx, g=g, h=h)
-
-
-def _ghosts(scenario: Scenario, grid: VelocityGrid):
-    """Discrete Maxwellians of the two far-field states."""
-    return tuple(discrete_maxwellian(grid, rho, np.asarray(u).reshape(-1)[0], theta,
-                                     scenario.dim)
-                 for rho, u, theta in scenario.far_fields)
+    """Discrete Maxwellians of the initial field, and of the far fields as ghost rows."""
+    x, dx, rho, u, theta = sample(scenario, cfg.n_cells)
+    g, h = discrete_maxwellian(grid, rho, u[:, 0], theta, scenario.dim)
+    far = far_field_frames(scenario)
+    ghosts = None
+    if far is not None:
+        # one call per side: a product rounds differently with another row count
+        left, right = (discrete_maxwellian(grid, *frame, scenario.dim) for frame in far)
+        ghosts = np.array([(gl[0], gr[0]) for gl, gr in zip(left, right) if gl is not None])
+    return DVMState(scenario=scenario, x=x, dx=dx, g=g, h=h, ghosts=ghosts)
 
 
 # Fewest cell·nodes in a block.  On 2 vCPUs (Xeon, numpy 2.4 with OpenBLAS
@@ -334,26 +335,24 @@ def _advance(state: DVMState, blk: _Scratch, grid: VelocityGrid, dt: float, nu_v
 
 
 def dvm_step(state: DVMState, cfg: DVMConfig, grid: VelocityGrid,
-             ghosts=None, dt_limit: float | None = None,
+             dt_limit: float | None = None,
              scratch: list[_Scratch] | None = None, pool=None) -> float:
     """One upwind transport + relaxation step; returns dt.
 
-    The cells go in the blocks of ``scratch`` (by default ``_blocks`` of the
-    mesh).  The calling thread runs the first block and ``pool``, an
-    executor, the others; without a pool the calling thread runs them all.
-    A breakdown names the lowest bad cell of the mesh.
+    Past the mesh ends lie the state's ghost rows, or on a periodic state
+    the other end's rows.  The cells go in the blocks of ``scratch`` (by
+    default ``_blocks`` of the mesh).  The calling thread runs the first
+    block and ``pool``, an executor, the others; without a pool the calling
+    thread runs them all.  A breakdown names the lowest bad cell of the mesh.
     """
     dt = cfg.cfl * state.dx / grid.v_max
     if dt_limit is not None:
         dt = min(dt, dt_limit)
-    periodic = state.scenario.boundary == "periodic"
-    if not periodic and ghosts is None:
-        raise ValueError("far-field boundary needs ghost distributions")
     if scratch is None:
         scratch = _blocks(*state.g.shape)
     n = state.g.shape[0]
     for j, arr in enumerate((state.g,) if state.h is None else (state.g, state.h)):
-        ends = (arr[-1], arr[0]) if periodic else (ghosts[0][j][0], ghosts[1][j][0])
+        ends = (arr[-1], arr[0]) if state.ghosts is None else state.ghosts[j]
         for blk in scratch:
             blk.halo[2 * j] = arr[blk.start - 1] if blk.start > 0 else ends[0]
             blk.halo[2 * j + 1] = arr[blk.stop] if blk.stop < n else ends[1]
@@ -380,7 +379,6 @@ def dvm_run(scenario: Scenario, cfg: DVMConfig) -> tuple[DVMState, VelocityGrid]
     """Integrate a scenario to t_stop or to a steady density profile."""
     grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
     state = make_dvm_state(scenario, cfg, grid)
-    ghosts = None if scenario.boundary == "periodic" else _ghosts(scenario, grid)
     scratch = _blocks(cfg.n_cells, cfg.n_v)
     pool = None
     if len(scratch) > 1:
@@ -388,9 +386,8 @@ def dvm_run(scenario: Scenario, cfg: DVMConfig) -> tuple[DVMState, VelocityGrid]
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(len(scratch) - 1, thread_name_prefix="regmom-dvm")
     try:
-        integrate(state, cfg, lambda limit: dvm_step(state, cfg, grid, ghosts=ghosts,
-                                                     dt_limit=limit, scratch=scratch,
-                                                     pool=pool),
+        integrate(state, cfg, lambda limit: dvm_step(state, cfg, grid, dt_limit=limit,
+                                                     scratch=scratch, pool=pool),
                   lambda: state.g.sum(axis=1) * grid.dv)
     finally:
         if pool is not None:

@@ -9,9 +9,10 @@ dimensions):
     shock at Mach M0 (gamma = 5/3), variable-hard-sphere relaxation time, run
     to a steady profile.
 
-``parse_config`` reads a flat ``key = value`` file, which the command line's
-``--config`` turns into flag defaults; it builds no Scenario.
-``integrate`` applies a scenario's stop rule for both solvers.
+Both solvers read a scenario onto their mesh through ``sample`` and take
+its far fields from ``far_field_frames``; the two reject a transverse
+velocity, which neither solver represents.  ``integrate`` applies a
+scenario's stop rule for both solvers.
 """
 from __future__ import annotations
 
@@ -75,6 +76,41 @@ class Scenario:
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.boundary == "farfield" and self.far_fields is None:
             raise ValueError("far-field boundary needs far-field states")
+
+
+def far_field_frames(scenario: Scenario):
+    """The far fields as ((rho, u_1, theta) left, (rho, u_1, theta) right), or
+    None on a periodic mesh.  Raises ValueError for a transverse velocity."""
+    if scenario.boundary == "periodic":
+        return None
+    out = []
+    for rho, u, theta in scenario.far_fields:
+        u = np.asarray(u, dtype=float).reshape(-1)
+        if np.any(u[1:]):
+            raise ValueError("both solvers need zero transverse velocity; "
+                             f"a far field has u = {u.tolist()}")
+        out.append((float(rho), float(u[0]), float(theta)))
+    return tuple(out)
+
+
+def sample(scenario: Scenario, n_cells: int):
+    """The scenario on a uniform mesh of ``n_cells`` cells: cell centres x,
+    width dx and the initial rho (n,), u (n, D) and theta (n,).
+
+    Raises ValueError for a transverse velocity in the initial field or in a
+    far field.
+    """
+    dx = (scenario.x_hi - scenario.x_lo) / n_cells
+    x = scenario.x_lo + (np.arange(n_cells) + 0.5) * dx
+    rho = np.asarray(scenario.rho0(x), dtype=float)
+    # a copy: the moment step writes u_1 into it
+    u = np.array(scenario.u0(x), dtype=float).reshape(n_cells, scenario.dim)
+    theta = np.asarray(scenario.theta0(x), dtype=float)
+    if np.any(u[:, 1:]):
+        raise ValueError("both solvers need zero transverse velocity; "
+                         "the initial field has some")
+    far_field_frames(scenario)
+    return x, dx, rho, u, theta
 
 
 def check_mesh(n_cells: int, cfl: float) -> None:
@@ -202,18 +238,3 @@ def make_scenario(name: str, kn: float | None = None, mach: float | None = None,
         return shock_structure(mach, kn=1.0 if kn is None else kn,
                                omega=omega, dim=dim)
     raise ValueError(f"unknown scenario {name!r}; built-ins: {BUILTIN_SCENARIOS}")
-
-
-def parse_config(path) -> dict[str, str]:
-    """Flat ``key = value`` file; '#' starts a comment, blank lines ignored."""
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out

@@ -68,12 +68,13 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .hermite import hermite_roots
 from .indices import AxisymmetricLayout, lead
 from .indices import pad_zero  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 from .closure import TopOrderClosure
-from .scenarios import Scenario, check_mesh, integrate
+from .scenarios import Scenario, check_mesh, far_field_frames, integrate, sample
 from .state import (conserved_from_coeffs, enforce_constraints, macro_from_conserved,
                     project_coeffs, sigma11_q1)
 
@@ -121,17 +122,23 @@ class _Scratch:
     """Every coefficient-sized array of a step, so that a warm step allocates
     none: made on the state's first step (or regularization), kept on it.
 
+    The mesh edges live in one ghost-extended buffer: the coefficients
+    (M+1, K, n+2) and their frames (rho, u_1, theta) (3, n+2), with one
+    ghost cell on each side.  The far-field ghosts are written once, here;
+    ``extend`` copies the cells in and, on a periodic mesh, wraps the ring.
+    The transport reads each face's two sides from shifted windows of it and
+    the regularization its face values.
+
     Three buffers are the input, output and work of both projection calls:
     first the two sides of each face, then each cell with its left and right
     face flux.  Between the calls the input buffer holds the projected sides
     side-first and the work buffer the LLF's side mean and jump; after the
-    second call the input buffer holds its output row-first.  So every large
+    second call the input buffer holds its output row-first, and the work
+    buffer is free for the regularization's face averages.  So every large
     ufunc runs on contiguous arrays: numpy (2.4) passes a strided operand
     through its buffered iterator, with up to 192 KB of buffers per call and
     several times the cost per value.  Beside these: c_{M+1}, the face flux,
-    the frames of both calls, (rho, theta) and, for the nonlinear closure,
-    the coefficients with a ghost cell on each side (far-field ghosts
-    written once) and their face averages, and tau of (rho, theta).
+    the frames of the second call and tau of (rho, theta).
     """
 
     def __init__(self, scenario: Scenario, layout: AxisymmetricLayout, n: int):
@@ -148,58 +155,32 @@ class _Scratch:
         self.rows, self.new, self.rows_work = (view(b, *rows_shape) for b in (inp, out, work))
         self.rows_first = view(inp, 3, *layout.shape, n)
         self.phi = np.empty(layout.shape + (n + 1,))
-        # (u_1, theta) of the sides and of the rows
-        self.side_frames = np.empty((2, 2, n + 1))
-        self.frames = np.empty((2, 3, n))
-        self.macro_e = np.empty((2, n + 2))     # rho and theta with ghost cells
-        self.coeffs_e = self.coeffs_f = None    # made by the first nonlinear closure
-        self.ghosts = None              # periodic: the ring closes on the mesh
-        if scenario.boundary != "periodic":
-            self.ghosts = np.zeros((2,) + layout.shape)
-            (rl, ul, tl), (rr, ur, tr) = scenario.far_fields
-            self.ghosts[:, 0, 0] = rl, rr
-            self.side_frames[:, 0, 0] = ul[0], tl
-            self.side_frames[:, 1, -1] = ur[0], tr
-            self.macro_e[:, 0], self.macro_e[:, -1] = (rl, tl), (rr, tr)
+        self.frames = np.empty((2, 3, n))       # (u_1, theta) of the rows
+        self.coeffs_e = np.zeros(layout.shape + (n + 2,))
+        self.frames_e = np.empty((3, n + 2))
+        # each face's left (0) and right (1) side, as views of those two:
+        # the coefficients (M+1, K, 2, n+1) and (u_1, theta) (2, 2, n+1)
+        self.side_windows = sliding_window_view(self.coeffs_e, n + 1, axis=-1)
+        self.frame_windows = sliding_window_view(self.frames_e[1:], n + 1, axis=-1)
+        self.coeffs_f = view(work, *self.coeffs_e.shape)   # face averages
+        far = far_field_frames(scenario)
+        self.periodic = far is None
+        if far is not None:
+            self.frames_e[:, 0], self.frames_e[:, -1] = far
+            self.coeffs_e[0, 0, 0], self.coeffs_e[0, 0, -1] = far[0][0], far[1][0]
         # tau with the (rho, theta) arrays it was computed from
         self.tau = (None, None, None)
 
-    def fill_sides(self, g: np.ndarray, u1: np.ndarray, theta: np.ndarray):
-        """The left (side 0) and right (side 1) cell of each face, and their
-        (u_1, theta), from the cells g, u1, theta."""
-        sides, fr = self.sides, self.side_frames
-        sides[..., 0, 1:] = g
-        sides[..., 1, :-1] = g
-        fr[0, 0, 1:] = fr[0, 1, :-1] = u1
-        fr[1, 0, 1:] = fr[1, 1, :-1] = theta
-        if self.ghosts is None:
-            sides[..., 0, 0] = g[..., -1]
-            sides[..., 1, -1] = g[..., 0]
-            fr[:, 0, 0] = u1[-1], theta[-1]
-            fr[:, 1, -1] = u1[0], theta[0]
-        else:
-            sides[..., 0, 0], sides[..., 1, -1] = self.ghosts
-        return sides, fr
-
-    def extend(self, rho: np.ndarray, theta: np.ndarray, coeffs: np.ndarray | None = None):
-        """(rho, theta) with one ghost cell on each side, (2, n+2), and the
-        coefficients so extended, (M+1, K, n+2), when ``coeffs`` is given."""
-        ext = self.macro_e
-        ext[0, 1:-1], ext[1, 1:-1] = rho, theta
-        if self.ghosts is None:
-            ext[:, 0], ext[:, -1] = ext[:, -2], ext[:, 1]
-        if coeffs is None:
-            return ext, None
-        co_e = self.coeffs_e
-        if co_e is None:
-            co_e = self.coeffs_e = np.empty(coeffs.shape[:-1] + (coeffs.shape[-1] + 2,))
-            self.coeffs_f = np.empty(co_e.shape)
-            if self.ghosts is not None:
-                co_e[..., 0], co_e[..., -1] = self.ghosts
-        co_e[..., 1:-1] = coeffs
-        if self.ghosts is None:
-            co_e[..., 0], co_e[..., -1] = coeffs[..., -1], coeffs[..., 0]
-        return ext, co_e
+    def extend(self, g: np.ndarray, rho: np.ndarray, u1: np.ndarray, theta: np.ndarray):
+        """The cells g (M+1, K, n) and their frames with one ghost cell on
+        each side: the coefficients (M+1, K, n+2) and (rho, u_1, theta) (3, n+2)."""
+        co_e, fr = self.coeffs_e, self.frames_e
+        co_e[..., 1:-1] = g
+        fr[0, 1:-1], fr[1, 1:-1], fr[2, 1:-1] = rho, u1, theta
+        if self.periodic:
+            co_e[..., 0], co_e[..., -1] = g[..., -1], g[..., 0]
+            fr[:, 0], fr[:, -1] = fr[:, -2], fr[:, 1]
+        return co_e, fr
 
 
 @dataclass
@@ -226,31 +207,12 @@ class SimState:
     boundary_account: np.ndarray = field(default_factory=lambda: np.zeros(1))
     scratch: _Scratch | None = field(default=None, repr=False)   # made on first use
 
-    def conserved_totals(self) -> np.ndarray:
-        """(mass, momentum_1..D, energy) integrated over the domain."""
-        D = self.u.shape[1]
-        tot = np.empty(D + 2)
-        tot[0] = self.rho.sum() * self.dx
-        tot[1:1 + D] = (self.rho[:, None] * self.u).sum(axis=0) * self.dx
-        tot[-1] = (0.5 * self.rho * (self.u ** 2).sum(axis=1)
-                   + 0.5 * D * self.rho * self.theta).sum() * self.dx
-        return tot
-
 
 def make_state(scenario: Scenario, cfg: SolverConfig) -> SimState:
     """Equilibrium initial state: cell-centered macro fields, Maxwellian coefficients."""
     layout = AxisymmetricLayout(cfg.order, scenario.dim)
-    n = cfg.n_cells
-    dx = (scenario.x_hi - scenario.x_lo) / n
-    x = scenario.x_lo + (np.arange(n) + 0.5) * dx
-    rho = np.asarray(scenario.rho0(x), dtype=float)
-    u = np.array(scenario.u0(x), dtype=float).reshape(n, scenario.dim)   # step writes u_1 in place
-    theta = np.asarray(scenario.theta0(x), dtype=float)
-    ghost_u = [np.asarray(gh[1])[1:] for gh in scenario.far_fields or ()]
-    if np.any(u[:, 1:]) or any(np.any(v) for v in ghost_u):
-        raise ValueError("the axisymmetric layout needs zero transverse velocity "
-                         "in the initial field and in the ghost states")
-    coeffs = np.zeros(layout.shape + (n,))
+    x, dx, rho, u, theta = sample(scenario, cfg.n_cells)
+    coeffs = np.zeros(layout.shape + (cfg.n_cells,))
     coeffs[0, 0] = rho
     state = SimState(scenario=scenario, layout=layout, top=TopOrderClosure(layout),
                      x=x, dx=dx, rho=rho, u=u, theta=theta, coeffs=coeffs)
@@ -353,13 +315,11 @@ def _regularize(state: SimState, cfg: SolverConfig, dt: float, coeffs) -> None:
     core, after the nonlinear closure's explicit remainder."""
     sc, layout, dx = state.scenario, state.layout, state.dx
     top_a, top_k = layout.top_a, layout.top_k
-    nonlinear = cfg.closure == "nonlinear"
-    # only the nonlinear remainder needs the ghost coefficients
-    ext, co_e = _scratch(state).extend(state.rho, state.theta, coeffs if nonlinear else None)
-    rho_f, th_f = 0.5 * (ext[:, :-1] + ext[:, 1:])
+    co_e, fr = _scratch(state).extend(coeffs, state.rho, state.u[:, 0], state.theta)
+    rho_f, th_f = 0.5 * (fr[::2, :-1] + fr[::2, 1:])         # rows rho and theta
     tau_f = sc.tau_model.tau(sc.kn, rho_f, th_f)
-    if nonlinear:
-        _nonlinear_remainder(state, dt, coeffs, ext, co_e, rho_f, th_f, tau_f)
+    if cfg.closure == "nonlinear":
+        _nonlinear_remainder(state, dt, coeffs, co_e, fr, rho_f, th_f, tau_f)
 
     kappa_f = tau_f * th_f                                   # (n+1,)
     g = (dt * (top_a + 1) / dx**2)[:, None]                  # one system per top entry
@@ -376,14 +336,14 @@ def _regularize(state: SimState, cfg: SolverConfig, dt: float, coeffs) -> None:
     coeffs[top_a, top_k] = sol
 
 
-def _nonlinear_remainder(state: SimState, dt: float, coeffs, ext, co_e, rho_f, th_f, tau_f):
+def _nonlinear_remainder(state: SimState, dt: float, coeffs, co_e, fr, rho_f, th_f, tau_f):
     """The nonlinear closure less its linear part, a non-stiff flux applied
-    explicitly to the top grade of ``coeffs``; ext and co_e are (rho, theta)
-    and the coefficients with ghost cells, the rest face values."""
+    explicitly to the top grade of ``coeffs``; co_e and fr are the
+    coefficients and (rho, u_1, theta) with ghost cells, the rest face values."""
     layout, top, dx = state.layout, state.top, state.dx
     co_top = co_e[layout.top_a, layout.top_k]
     dfdx = (co_top[:, 1:] - co_top[:, :-1]) / dx        # (n_top, n+1) face gradients
-    p_e = ext[0] * ext[1]
+    p_e = fr[0] * fr[2]
     p_x = (p_e[1:] - p_e[:-1]) / dx
     # face averages of all entries as one contiguous run: the sum of each
     # value and the next, read where both belong to one entry
@@ -400,11 +360,14 @@ def _nonlinear_remainder(state: SimState, dt: float, coeffs, ext, co_e, rho_f, t
     coeffs[layout.top_a, layout.top_k] -= rate * (rest[:, 1:] - rest[:, :-1])
 
 
-def _face_fluxes(lay: AxisymmetricLayout, scr: _Scratch, g, u1, theta):
+def _face_fluxes(lay: AxisymmetricLayout, scr: _Scratch):
     """The LLF flux phi (M+1, K, n+1) of every face in the face's frame, the
     arithmetic mean of its sides' frames, and those frames (2, n+1): u_1 and
-    theta.  Both sides of all faces go through one projection call."""
-    sides, side_frames = scr.fill_sides(g, u1, theta)
+    theta.  The sides are windows of the scratch's ghost-extended cells,
+    which ``extend`` has filled; both sides of all faces go through one
+    projection call."""
+    sides, side_frames = scr.sides, scr.frame_windows
+    np.copyto(sides, scr.side_windows)
     face_frames = 0.5 * (side_frames[:, 0] + side_frames[:, 1])
     u_f, th_f = face_frames
     shift = face_frames[:, None] - side_frames
@@ -462,7 +425,8 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     _relax(g, np.exp(-0.5 * dt / tau))
 
     # --- (a) hyperbolic transport in shared interface frames -------------
-    phi, face_frames = _face_fluxes(lay, scr, g, u1, theta)
+    scr.extend(g, state.rho, u1, theta)
+    phi, face_frames = _face_fluxes(lay, scr)
 
     # --- conserved recovery and frame move: the step's positivity test ----
     # each cell with its left and right face fluxes, and their frames; the

@@ -19,7 +19,8 @@ The file opens with reference code that only the tests call: the scalar
 frame ``MacroState``, the solver's constraint residual, Hermite evaluation
 and Gauss quadrature, the iteration's first-order-law check and the
 shock-profile normalization.  It closes with the smooth periodic scenario
-that the solver tests, ACCEPT-4 and ACCEPT-8 share, and with the two steps
+that the solver tests, ACCEPT-4 and ACCEPT-8 share, the domain totals of a
+moment state (``conserved_totals``), and with the two steps
 the library reorders: the DVM step in flux form and the moment step with
 three projection calls, with the ghost cells it builds by concatenation
 (``_extend``).
@@ -35,7 +36,7 @@ from regmom.dvm import _conserved
 from regmom.hermite import hermite_roots
 from regmom.indices import AxisymmetricLayout, enumerate_indices, lead
 from regmom.iteration import ManufacturedField, _sigma_q1, run_iteration
-from regmom.scenarios import Scenario, TauModel
+from regmom.scenarios import Scenario, TauModel, far_field_frames
 from regmom.solver import SolverBreakdown, _regularize, flux_coefficients
 from regmom.state import (UnphysicalStateError, _trace, conserved_from_coeffs,
                           macro_from_conserved, project_coeffs)
@@ -439,7 +440,8 @@ def expand_full(axi, g):
 
 
 # ---------------------------------------------------------------------------
-# The smooth periodic scenario of the solver tests, ACCEPT-4 and ACCEPT-8.
+# The smooth periodic scenario of the solver tests, ACCEPT-4 and ACCEPT-8,
+# and the totals that the conservation checks compare.
 
 
 def periodic_scenario(dim=3, amp=0.2):
@@ -460,6 +462,17 @@ def periodic_scenario(dim=3, amp=0.2):
                     tau_model=TauModel("kn-over-rho"), x_lo=0.0,
                     x_hi=2.0 * math.pi, rho0=rho0, u0=u0, theta0=theta0,
                     boundary="periodic", t_stop=0.2, default_cells=64)
+
+
+def conserved_totals(state) -> np.ndarray:
+    """(mass, momentum_1..D, energy) of a moment state, integrated over the domain."""
+    D = state.u.shape[1]
+    tot = np.empty(D + 2)
+    tot[0] = state.rho.sum() * state.dx
+    tot[1:1 + D] = (state.rho[:, None] * state.u).sum(axis=0) * state.dx
+    tot[-1] = (0.5 * state.rho * (state.u ** 2).sum(axis=1)
+               + 0.5 * D * state.rho * state.theta).sum() * state.dx
+    return tot
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +520,8 @@ def flux_form_maxwellian(grid, rho, u1, theta, dim: int,
 
 def flux_form_ghosts(scenario, grid):
     """Flux-form discrete Maxwellians of the two far-field states."""
-    return tuple(flux_form_maxwellian(grid, rho, np.asarray(u).reshape(-1)[0], theta,
-                                      scenario.dim)
-                 for rho, u, theta in scenario.far_fields)
+    return tuple(flux_form_maxwellian(grid, *frame, scenario.dim)
+                 for frame in far_field_frames(scenario))
 
 
 class FluxFormScratch:

@@ -19,8 +19,8 @@ from regmom.solver import SolverConfig, make_state, run
 from regmom.state import sigma11_q1
 from regmom.iteration import fd4
 
-from oracles import (QuadratureRule, he_derivative, he_eval, he_table, normalize_density,
-                     nsf_check, periodic_scenario)
+from oracles import (QuadratureRule, conserved_totals, he_derivative, he_eval, he_table,
+                     normalize_density, nsf_check, periodic_scenario)
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -308,21 +308,21 @@ def test_criterion_8_conservation():
     cfg = SolverConfig.from_scenario(sc, order=3, n_cells=64)
     state = make_state(sc, cfg)
     from regmom.solver import step
-    tot0 = state.conserved_totals()
+    tot0 = conserved_totals(state)
     scale = np.abs(tot0).max()
     worst = 0.0
     for _ in range(120):
-        prev = state.conserved_totals()
+        prev = conserved_totals(state)
         step(state, cfg)
-        worst = max(worst, float(np.abs(state.conserved_totals() - prev).max()) / scale)
+        worst = max(worst, float(np.abs(conserved_totals(state) - prev).max()) / scale)
     periodic_ok = worst <= 1e-12
     # shock run: totals change only by the boundary fluxes
     sc2 = shock_tube(kn=0.02)
     cfg2 = SolverConfig.from_scenario(sc2, order=3, n_cells=200)
     st2 = make_state(sc2, cfg2)
-    tot = st2.conserved_totals()
+    tot = conserved_totals(st2)
     run(st2, cfg2)
-    defect = np.abs(st2.conserved_totals() - tot - st2.boundary_account).max()
+    defect = np.abs(conserved_totals(st2) - tot - st2.boundary_account).max()
     boundary_ok = defect <= 1e-10 * max(1.0, np.abs(tot).max())
     report("8 conservation", periodic_ok and boundary_ok,
            f"periodic per-step drift {worst:.1e} <= 1e-12, "

@@ -10,8 +10,8 @@ import pytest
 
 import regmom.dvm
 from regmom.dvm import (MIN_BLOCK_CELL_NODES, DVMConfig, DVMState, VelocityGrid, _blocks,
-                        _ghosts, discrete_maxwellian, dvm_moments, dvm_run, dvm_step,
-                        make_dvm_state, suggested_v_max)
+                        discrete_maxwellian, dvm_moments, dvm_run, dvm_step, make_dvm_state,
+                        suggested_v_max)
 from regmom.scenarios import shock_structure, shock_tube
 from regmom.state import UnphysicalStateError
 
@@ -115,10 +115,9 @@ def test_equilibrium_state_is_invariant():
     cfg = DVMConfig.from_scenario(sc, n_cells=32, n_v=80, v_max=10.0)
     grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
     state = make_dvm_state(sc, cfg, grid)
-    ghosts = _ghosts(sc, grid)
     g0 = state.g.copy()
     for _ in range(10):
-        dvm_step(state, cfg, grid, ghosts=ghosts)
+        dvm_step(state, cfg, grid)
     assert np.abs(state.g - g0).max() < 1e-13 * g0.max()
 
 
@@ -129,7 +128,7 @@ def test_nan_cell_raises_unphysical():
     state = make_dvm_state(sc, cfg, grid)
     state.g[10] = np.nan
     with pytest.raises(UnphysicalStateError):
-        dvm_step(state, cfg, grid, ghosts=_ghosts(sc, grid))
+        dvm_step(state, cfg, grid)
 
 
 def test_breakdown_names_first_bad_cell_and_time():
@@ -137,12 +136,26 @@ def test_breakdown_names_first_bad_cell_and_time():
     cfg = DVMConfig.from_scenario(sc, n_cells=32, n_v=40, v_max=10.0)
     grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
     state = make_dvm_state(sc, cfg, grid)
-    ghosts = _ghosts(sc, grid)
-    dvm_step(state, cfg, grid, ghosts=ghosts)
+    dvm_step(state, cfg, grid)
     t = state.t
     state.g[12] = np.nan            # upwind transport spreads it to cells 11 and 13
     with pytest.raises(UnphysicalStateError, match=f"cell 11, t = {t:.6g}"):
-        dvm_step(state, cfg, grid, ghosts=ghosts)
+        dvm_step(state, cfg, grid)
+
+
+def test_state_carries_ghost_rows_exactly_when_far_field():
+    # a state made by hand without ghost rows cannot run as periodic
+    sc = shock_tube(dim=2)
+    cfg = DVMConfig.from_scenario(sc, n_cells=8, n_v=40, v_max=10.0)
+    grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
+    state = make_dvm_state(sc, cfg, grid)
+    for j, (rho, u, theta) in enumerate(sc.far_fields):
+        g, h = discrete_maxwellian(grid, rho, u[0], theta, sc.dim)
+        assert np.array_equal(state.ghosts[:, j], np.stack([g[0], h[0]]))
+    with pytest.raises(ValueError, match="ghost rows"):
+        replace(state, ghosts=None)
+    with pytest.raises(ValueError, match="ghost rows"):
+        replace(state, scenario=replace(sc, boundary="periodic", far_fields=None))
 
 
 def test_steady_search_stops_on_uniform_state():
@@ -248,10 +261,9 @@ def test_step_matches_flux_form_oracle(case):
     state = make_dvm_state(sc, cfg, grid)
     ref = replace(state, g=state.g.copy(), h=None if state.h is None else state.h.copy())
     farfield = boundary == "farfield"
-    ghosts = _ghosts(sc, grid) if farfield else None
     ref_ghosts = flux_form_ghosts(sc, grid) if farfield else None
     for _ in range(100):
-        dvm_step(state, cfg, grid, ghosts=ghosts)
+        dvm_step(state, cfg, grid)
         flux_form_step(ref, cfg, grid, ghosts=ref_ghosts)
     assert state.t == ref.t
     bound = 1e-12 * ref.g.max()
@@ -274,7 +286,6 @@ def test_output_does_not_depend_on_block_count(case):
         sc = replace(sc, boundary="periodic", far_fields=None)
     cfg = DVMConfig.from_scenario(sc, n_cells=n, n_v=nv, v_max=10.0)
     grid = VelocityGrid.make(nv, cfg.v_max)
-    ghosts = _ghosts(sc, grid) if boundary == "farfield" else None
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # more thread switches, more chances of a race
@@ -285,7 +296,7 @@ def test_output_does_not_depend_on_block_count(case):
                 scratch = _blocks(n, nv, count)
                 assert len(scratch) == count
                 for _ in range(50):
-                    dvm_step(state, cfg, grid, ghosts=ghosts, scratch=scratch,
+                    dvm_step(state, cfg, grid, scratch=scratch,
                              pool=pool if count > 1 else None)
                 assert state.blocks == count
                 runs.append(state)
@@ -386,12 +397,11 @@ def test_step_allocates_no_cell_by_node_array():
     cfg = DVMConfig.from_scenario(sc, n_cells=n, n_v=nv, v_max=12.0)
     grid = VelocityGrid.make(nv, cfg.v_max)
     state = make_dvm_state(sc, cfg, grid)
-    ghosts = _ghosts(sc, grid)
     scratch = _blocks(n, nv)
-    dvm_step(state, cfg, grid, ghosts=ghosts, scratch=scratch)
+    dvm_step(state, cfg, grid, scratch=scratch)
     tracemalloc.start()
     try:
-        dvm_step(state, cfg, grid, ghosts=ghosts, scratch=scratch)
+        dvm_step(state, cfg, grid, scratch=scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

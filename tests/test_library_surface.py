@@ -1,11 +1,13 @@
-"""Every module-level function and class of the library has a caller.
+"""Every module-level function and class of the library, and every public
+method of its classes, has a caller.
 
 A definition counts as used when another library module names it (as a
 name, an attribute or an imported name), when its own module names it
 outside its own definition, when ``bench/*.py`` names it (strings included,
 since the benchmark wraps functions by name), or when ``[project.scripts]``
 points at it.  Re-exports in ``__init__.py`` do not count: code that only
-the tests call belongs with the tests.
+the tests call belongs with the tests.  Methods whose names start with an
+underscore, dunders included, are exempt.
 """
 import ast
 import tomllib
@@ -15,24 +17,40 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "regmom"
 
 
-def names_in(nodes, strings: bool = False) -> set[str]:
-    """Names, attributes and imported names in the trees ``nodes``."""
+def names_in(nodes, strings: bool = False, skip: ast.AST | None = None) -> set[str]:
+    """Names, attributes and imported names in the trees ``nodes``, outside
+    the subtree ``skip``."""
     out: set[str] = set()
-    for tree in nodes:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                out.update(alias.name for alias in node.names)
-            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                out.add(node.value)
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
     return out
 
 
+def definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level def/class and public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unused_definitions(modules: dict[str, str], outside: set[str]) -> list[str]:
-    """'<module>.<name>' for each top-level def/class nobody else names.
+    """'<module>.<qualified name>' for each definition nobody else names.
 
     ``modules`` maps module names to their source; ``outside`` holds the
     names used outside the library.
@@ -41,12 +59,9 @@ def unused_definitions(modules: dict[str, str], outside: set[str]) -> list[str]:
     unused = []
     for mod, tree in trees.items():
         others = names_in(t for m, t in trees.items() if m not in (mod, "__init__"))
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            own = names_in(n for n in tree.body if n is not node)
-            if node.name not in others | own | outside:
-                unused.append(f"{mod}.{node.name}")
+        for qualname, node in definitions(tree):
+            if node.name not in others | names_in([tree], skip=node) | outside:
+                unused.append(f"{mod}.{qualname}")
     return unused
 
 
@@ -57,10 +72,17 @@ def test_checker_flags_definitions_without_callers():
               "def helper(): pass\n"
               "def lonely(): return lonely()\n"
               "def caller(): return helper()\n"
-              "def traced(): pass\n"),
-        "b": "from .a import used\nused()\n",
+              "def traced(): pass\n"
+              "class Box:\n"
+              "    def __init__(self): self._fill()\n"
+              "    def _fill(self): pass\n"
+              "    def _spare(self): pass\n"
+              "    def opened(self): pass\n"
+              "    def solo(self): return self.solo()\n"),
+        "b": "from .a import used, Box\nused()\nBox().opened()\n",
     }
-    assert unused_definitions(modules, outside={"traced"}) == ["a.lonely", "a.caller"]
+    assert unused_definitions(modules, outside={"traced"}) == ["a.lonely", "a.caller",
+                                                               "a.Box.solo"]
 
 
 def test_library_definitions_have_callers():

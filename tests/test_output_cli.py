@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regmom.cli import main
+from regmom.cli import main, parse_config
 from regmom.output import (compare_files, compare_profiles, read_csv,
                            write_columns)
 
@@ -19,6 +19,17 @@ def test_csv_round_trip(tmp_path):
     assert list(back) == ["x", "rho"]
     assert np.array_equal(back["x"], cols["x"])
     assert np.array_equal(back["rho"], cols["rho"])  # 17 sig digits: exact
+
+
+def test_parse_config(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# comment\nscenario = shock-tube\ncells = 100\n\nkn=0.5\n")
+    cfg = parse_config(path)
+    assert cfg == {"scenario": "shock-tube", "cells": "100", "kn": "0.5"}
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("just words\n")
+    with pytest.raises(ValueError):
+        parse_config(bad)
 
 
 def test_compare_file_against_itself(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from regmom.scenarios import (GAMMA_MONATOMIC, TauModel, make_scenario, parse_config,
+from regmom.scenarios import (GAMMA_MONATOMIC, TauModel, make_scenario,
                               rankine_hugoniot_states, shock_structure, shock_tube)
 
 from oracles import normalize_density
@@ -134,17 +134,6 @@ def test_make_scenario_names():
         make_scenario("shock-structure")  # needs a Mach number
     with pytest.raises(ValueError):
         make_scenario("nope")
-
-
-def test_parse_config(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("# comment\nscenario = shock-tube\ncells = 100\n\nkn=0.5\n")
-    cfg = parse_config(path)
-    assert cfg == {"scenario": "shock-tube", "cells": "100", "kn": "0.5"}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("just words\n")
-    with pytest.raises(ValueError):
-        parse_config(bad)
 
 
 def test_scenario_initial_states_are_equilibrium():

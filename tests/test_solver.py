@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from regmom import solver as solver_module
+from regmom.dvm import DVMConfig, VelocityGrid, make_dvm_state
 from regmom.indices import AxisymmetricLayout
 from regmom.output import read_csv, snapshot_columns
 from regmom.scenarios import TauModel, shock_structure, shock_tube
@@ -20,8 +21,8 @@ from regmom.solver import (SimState, SolverBreakdown, SolverConfig,
                            _solve_banded_tridiag, _solve_cyclic_tridiag)
 from regmom.state import enforce_constraints
 
-from oracles import (MacroState, _extend, constraint_residual, expand_full,
-                     periodic_scenario, raw_moment, three_projection_step)
+from oracles import (MacroState, _extend, conserved_totals, constraint_residual,
+                     expand_full, periodic_scenario, raw_moment, three_projection_step)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -107,14 +108,14 @@ def test_periodic_conservation_per_step():
     sc = periodic_scenario()
     cfg = SolverConfig.from_scenario(sc, order=3, n_cells=48)
     state = make_state(sc, cfg)
-    tot0 = state.conserved_totals()
+    tot0 = conserved_totals(state)
     scale = np.abs(tot0) + np.abs(tot0).max()
     for _ in range(60):
-        prev = state.conserved_totals()
+        prev = conserved_totals(state)
         step(state, cfg)
-        drift = np.abs(state.conserved_totals() - prev) / scale
+        drift = np.abs(conserved_totals(state) - prev) / scale
         assert drift.max() < 1e-12
-    total_drift = np.abs(state.conserved_totals() - tot0) / scale
+    total_drift = np.abs(conserved_totals(state) - tot0) / scale
     assert total_drift.max() < 1e-12
 
 
@@ -122,9 +123,9 @@ def test_farfield_conservation_matches_boundary_fluxes():
     sc = shock_tube(kn=0.02)
     cfg = SolverConfig.from_scenario(sc, order=3, n_cells=100)
     state = make_state(sc, cfg)
-    tot0 = state.conserved_totals()
+    tot0 = conserved_totals(state)
     run(state, cfg)
-    change = state.conserved_totals() - tot0
+    change = conserved_totals(state) - tot0
     scale = max(1.0, np.abs(tot0).max())
     assert np.abs(change - state.boundary_account).max() < 1e-10 * scale
 
@@ -336,17 +337,17 @@ def test_warm_step_allocates_no_coefficient_sized_array():
 
 @pytest.mark.parametrize("boundary", ["farfield", "periodic"])
 def test_scratch_ghost_cells_match_extend(boundary):
-    # the regularization's ghost-extended buffers, refilled at every step,
-    # hold what the concatenating _extend builds: the far fields (written
+    # the step's ghost-extended buffers, refilled twice a step, hold what
+    # the concatenating _extend builds: the far fields (written
     # once) or the periodic ring around the cells
     sc = shock_tube(kn=0.5) if boundary == "farfield" else periodic_scenario()
     cfg = SolverConfig.from_scenario(sc, order=5, n_cells=30, closure="nonlinear")
     state = make_state(sc, cfg)
     for _ in range(3):
         step(state, cfg)
-    ext, co_e = state.scratch.extend(state.rho, state.theta, state.coeffs)
-    rho_e, _, th_e, co_ref = _extend(sc, state.rho, state.u[:, 0], state.theta, state.coeffs)
-    assert np.array_equal(ext, np.stack([rho_e, th_e]))
+    co_e, fr = state.scratch.extend(state.coeffs, state.rho, state.u[:, 0], state.theta)
+    rho_e, u_e, th_e, co_ref = _extend(sc, state.rho, state.u[:, 0], state.theta, state.coeffs)
+    assert np.array_equal(fr, np.stack([rho_e, u_e, th_e]))
     assert np.array_equal(co_e, co_ref)
 
 
@@ -606,17 +607,27 @@ def test_nsf_consistency_of_solver_stress():
     assert devs[1] / devs[2] > 3.0
 
 
-def test_make_state_rejects_transverse_velocity():
-    sc = periodic_scenario()
-    sc.u0 = lambda x: np.zeros((np.asarray(x).size, 3)) + np.array([0.1, 0.2, 0.0])
-    cfg = SolverConfig.from_scenario(sc, order=3, n_cells=8)
-    with pytest.raises(ValueError, match="transverse"):
-        make_state(sc, cfg)
-    tube = shock_tube()
-    tube.far_fields = (tube.far_fields[0], (1.0, np.array([0.0, 0.0, 0.3]), 1.0))
-    cfg = SolverConfig.from_scenario(tube, order=3, n_cells=8)
-    with pytest.raises(ValueError, match="transverse"):
-        make_state(tube, cfg)
+@pytest.mark.parametrize("solver", ["moment", "dvm"])
+@pytest.mark.parametrize("where", ["initial-field", "far-field"])
+def test_make_state_rejects_transverse_velocity(where, solver):
+    # neither solver represents a transverse velocity; the DVM once dropped it
+    if where == "initial-field":
+        sc = periodic_scenario()
+        sc.u0 = lambda x: np.zeros((np.asarray(x).size, 3)) + np.array([0.1, 0.2, 0.0])
+    else:
+        sc = shock_tube()
+        sc.far_fields = (sc.far_fields[0], (1.0, np.array([0.0, 0.0, 0.3]), 1.0))
+        if solver == "dvm":     # the default v_max reads the far fields
+            with pytest.raises(ValueError, match="transverse"):
+                DVMConfig.from_scenario(sc)
+    if solver == "moment":
+        cfg = SolverConfig.from_scenario(sc, order=3, n_cells=8)
+        with pytest.raises(ValueError, match="transverse"):
+            make_state(sc, cfg)
+    else:
+        cfg = DVMConfig.from_scenario(sc, n_cells=8, n_v=40, v_max=10.0)
+        with pytest.raises(ValueError, match="transverse"):
+            make_dvm_state(sc, cfg, VelocityGrid.make(cfg.n_v, cfg.v_max))
 
 
 @pytest.mark.parametrize("dim,steps", [(1, 23), (2, 22), (3, 22)])
