@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import dvm, iteration, output, scenarios, solver
-from .state import UnphysicalStateError
 
 
 @dataclass
@@ -101,7 +100,7 @@ def cmd_run(args) -> int:
     t0 = time.perf_counter()
     try:
         solver.run(state, cfg)
-    except solver.SolverBreakdown as exc:
+    except scenarios.SolverBreakdown as exc:
         print(f"breakdown: {exc}", file=sys.stderr)
         summary = {"manifest": asdict(manifest), "breakdown": str(exc),
                    "t": state.t, "steps": state.steps}
@@ -263,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
                                   sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except (solver.SolverBreakdown, UnphysicalStateError) as exc:
+    except scenarios.SolverBreakdown as exc:
         print(f"breakdown: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenarios import Scenario, check_mesh, far_field_frames, integrate, sample
-from .state import UnphysicalStateError
+from .scenarios import (Scenario, SolverBreakdown, check_mesh, check_positive,
+                        far_field_frames, integrate, sample)
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class DVMConfig:
 
     def __post_init__(self):
         check_mesh(self.n_cells, self.cfl)
-        if self.n_v < 2:
-            raise ValueError(f"need at least two velocity nodes, got {self.n_v}")
+        if self.n_v < 3:    # the three-moment correction is singular on fewer
+            raise ValueError(f"need at least three velocity nodes, got {self.n_v}")
         if not self.v_max > 0.0:
             raise ValueError(f"v_max must be positive, got {self.v_max}")
 
@@ -128,11 +128,15 @@ MOMENT_RTOL = 1e-10
 
 def discrete_maxwellian(grid: VelocityGrid, rho, u1, theta, dim: int = 1,
                         weight=1.0, out: np.ndarray | None = None,
-                        work: np.ndarray | None = None, first_cell: int = 0):
+                        work: np.ndarray | None = None):
     """Reduced nodal Maxwellians corrected to the exact discrete moments.
 
-    Returns ``(g_M, h_M)`` with h_M = (D - 1) theta g_M, or ``(g_M, None)``
-    for ``dim`` 1; g_M itself does not depend on D.  Per cell:
+    Returns ``(g_M, h_M, miss)`` with h_M = (D - 1) theta g_M, or None for
+    ``dim`` 1; g_M itself does not depend on D.  ``miss`` is the first row
+    whose factor misses any of the three moments by more than MOMENT_RTOL
+    relative to rho (u1^2 + theta)^(k/2), or None: the velocity grid is too
+    coarse or too narrow for that row.  rho and theta must be positive.
+    Per cell:
 
     * the exponent -(v - u1)^2 / (2 theta) is one (n, 3) x (3, n_v) product
       of [-u1^2 / (2 theta), u1 / theta, -1 / (2 theta)] with [1, v, v^2],
@@ -146,18 +150,10 @@ def discrete_maxwellian(grid: VelocityGrid, rho, u1, theta, dim: int = 1,
     The result is scaled by ``weight`` (a scalar or one value per cell).  It
     is written to ``out``; ``work`` holds G.  Both are (n, n_v) buffers,
     allocated when omitted.
-
-    Raises UnphysicalStateError when rho or theta is not positive, and names
-    the first cell whose factor misses any of the three moments by more than
-    MOMENT_RTOL relative to rho (u1^2 + theta)^(k/2): the velocity grid is
-    then too coarse or too narrow for that cell's temperature and speed.
-    Cells are numbered from ``first_cell``, the mesh index of the first row.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     u1 = np.atleast_1d(np.asarray(u1, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if np.any(~(rho > 0.0)) or np.any(~(theta > 0.0)):     # NaN fails the test
-        raise UnphysicalStateError("discrete Maxwellian needs rho > 0, theta > 0")
     quad = np.ascontiguousarray(grid.powers[:, :3].T)     # rows 1, v, v^2
     inv = 1.0 / theta
     expo = np.stack([-0.5 * u1 * u1 * inv, u1 * inv, -0.5 * inv], axis=1)
@@ -189,18 +185,13 @@ def discrete_maxwellian(grid: VelocityGrid, rho, u1, theta, dim: int = 1,
           & (np.abs(s[0] * a + s[1] * b + s[2] * gamma - 1.0) <= MOMENT_RTOL)
           & (np.abs(s[1] * a + s[2] * b + s[3] * gamma - u1) <= MOMENT_RTOL * np.sqrt(r2))
           & (np.abs(s[2] * a + s[3] * b + s[4] * gamma - r2) <= MOMENT_RTOL * r2))
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise UnphysicalStateError(
-            f"discrete Maxwellian misses the moments of cell {first_cell + k} "
-            f"(rho = {rho[k]:.6g}, u1 = {u1[k]:.6g}, theta = {theta[k]:.6g}): the "
-            f"velocity grid is too coarse or too narrow")
+    miss = None if ok.all() else int(np.argmin(ok))
     scale = rho * weight / grid.dv
     gm = np.matmul(np.stack([a * scale, b * scale, gamma * scale], axis=1), quad, out=out)
     gm *= gauss
     if dim == 1:
-        return gm, None
-    return gm, (dim - 1) * theta[:, None] * gm
+        return gm, None, miss
+    return gm, (dim - 1) * theta[:, None] * gm, miss
 
 
 def _conserved(g, h, dim: int, grid: VelocityGrid):
@@ -234,14 +225,24 @@ def dvm_moments(state: DVMState, grid: VelocityGrid) -> dict[str, np.ndarray]:
 
 
 def make_dvm_state(scenario: Scenario, cfg: DVMConfig, grid: VelocityGrid) -> DVMState:
-    """Discrete Maxwellians of the initial field, and of the far fields as ghost rows."""
+    """Discrete Maxwellians of the initial field, and of the far fields as ghost
+    rows; raises ValueError when the velocity grid cannot represent one of them."""
     x, dx, rho, u, theta = sample(scenario, cfg.n_cells)
-    g, h = discrete_maxwellian(grid, rho, u[:, 0], theta, scenario.dim)
+
+    def maxwellian(where, *frame):
+        g, h, miss = discrete_maxwellian(grid, *frame, scenario.dim)
+        if miss is not None:
+            raise ValueError(f"{cfg.n_v} velocity nodes on [-{cfg.v_max:g}, {cfg.v_max:g}] "
+                             f"cannot represent {where}; widen --vmax or add nodes with --nv")
+        return g, h
+
+    g, h = maxwellian("the initial field", rho, u[:, 0], theta)
     far = far_field_frames(scenario)
     ghosts = None
     if far is not None:
         # one call per side: a product rounds differently with another row count
-        left, right = (discrete_maxwellian(grid, *frame, scenario.dim) for frame in far)
+        left, right = (maxwellian(f"the {side} far field", *frame)
+                       for side, frame in zip(("left", "right"), far))
         ghosts = np.array([(gl[0], gr[0]) for gl, gr in zip(left, right) if gl is not None])
     return DVMState(scenario=scenario, x=x, dx=dx, g=g, h=h, ghosts=ghosts)
 
@@ -299,8 +300,8 @@ def _transport(arr, ghost_l, ghost_r, nu_v, left, diff):
 def _advance(state: DVMState, blk: _Scratch, grid: VelocityGrid, dt: float, nu_v, left):
     """Transport and relax the cells of one block, whose halo rows are set.
 
-    Returns None, or (rank, first cell, message) of a breakdown: rank 0 for
-    a non-positive density or temperature, 1 for an unresolvable Maxwellian.
+    Returns None, or (rank, SolverBreakdown) of the block's lowest bad cell:
+    rank 0 for a non-positive rho or theta, 1 for an unresolvable Maxwellian.
     """
     rows = slice(blk.start, blk.stop)
     g = state.g[rows]
@@ -312,17 +313,19 @@ def _advance(state: DVMState, blk: _Scratch, grid: VelocityGrid, dt: float, nu_v
     if not math.isfinite(sc.kn):
         return None
     rho, u1, theta = _conserved(g, h, state.dim, grid)
-    bad = ~(rho > 0.0) | ~(theta > 0.0)     # NaN counts as bad
-    if bad.any():
-        return (0, blk.start, f"non-positive or NaN density or temperature after "
-                f"transport (cell {blk.start + int(np.argmax(bad))}, t = {state.t:.6g})")
+    try:
+        check_positive(rho, theta, state.t, blk.start)
+    except SolverBreakdown as exc:
+        return 0, exc
     tau = np.asarray(sc.tau_model.tau(sc.kn, rho, theta))
     decay = np.exp(-dt / tau)
-    try:
-        gm, _ = discrete_maxwellian(grid, rho, u1, theta, weight=1.0 - decay,
-                                    out=blk.gm, work=blk.diff[:-1], first_cell=blk.start)
-    except UnphysicalStateError as exc:
-        return (1, blk.start, f"{exc}, at t = {state.t:.6g}")
+    gm, _, miss = discrete_maxwellian(grid, rho, u1, theta, weight=1.0 - decay,
+                                      out=blk.gm, work=blk.diff[:-1])
+    if miss is not None:
+        return 1, SolverBreakdown(
+            f"{grid.v.size} velocity nodes on [-{grid.v_max:g}, {grid.v_max:g}] cannot "
+            f"represent a Maxwellian of rho = {rho[miss]:.6g}, u1 = {u1[miss]:.6g}, "
+            f"theta = {theta[miss]:.6g}", blk.start + miss, state.t)
     g *= decay[:, None]
     g += gm
     if h is not None:
@@ -368,7 +371,7 @@ def dvm_step(state: DVMState, cfg: DVMConfig, grid: VelocityGrid,
         failures = [first, *rest]
     failed = [f for f in failures if f is not None]
     if failed:
-        raise UnphysicalStateError(min(failed)[2])
+        raise min(failed, key=lambda f: (f[0], f[1].cell))[1]
     state.blocks = len(scratch)
     state.t += dt
     state.steps += 1

@@ -10,9 +10,9 @@ dimensions):
     to a steady profile.
 
 Both solvers read a scenario onto their mesh through ``sample`` and take
-its far fields from ``far_field_frames``; the two reject a transverse
-velocity, which neither solver represents.  ``integrate`` applies a
-scenario's stop rule for both solvers.
+its far fields from ``far_field_frames``, which reject a gas neither solver
+represents.  For both, ``integrate`` applies a scenario's stop rule and
+``check_positive`` tests a step's state; either step raises SolverBreakdown.
 """
 from __future__ import annotations
 
@@ -41,6 +41,8 @@ class TauModel:
             raise ValueError(f"unknown tau model {self.kind!r}")
         if self.kind == "vhs":      # the VHS prefactor, computed once
             w = self.omega
+            if not 0.5 <= w <= 1.0:
+                raise ValueError(f"the VHS exponent omega must lie in [0.5, 1], got {w}")
             object.__setattr__(self, "_vhs", math.sqrt(math.pi / 2.0) * 15.0
                                / ((5.0 - 2.0 * w) * (7.0 - 2.0 * w)))
 
@@ -76,19 +78,27 @@ class Scenario:
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.boundary == "farfield" and self.far_fields is None:
             raise ValueError("far-field boundary needs far-field states")
+        if not self.kn >= 0.0:      # NaN fails the test; Kn = 0 and inf pass
+            raise ValueError(f"Kn must be >= 0, got {self.kn}")
+
+
+def _check_field(rho, u, theta, where: str) -> None:
+    """ValueError unless u_2 = u_3 = 0 and rho, theta > 0: all either solver represents."""
+    if np.any(u[..., 1:]):
+        raise ValueError(f"both solvers need zero transverse velocity; {where} has some")
+    if not (np.min(rho) > 0.0 and np.min(theta) > 0.0):     # NaN fails both
+        raise ValueError(f"both solvers need rho > 0 and theta > 0; {where} has not")
 
 
 def far_field_frames(scenario: Scenario):
     """The far fields as ((rho, u_1, theta) left, (rho, u_1, theta) right), or
-    None on a periodic mesh.  Raises ValueError for a transverse velocity."""
+    None on a periodic mesh.  Raises ValueError as ``_check_field`` does."""
     if scenario.boundary == "periodic":
         return None
     out = []
-    for rho, u, theta in scenario.far_fields:
+    for side, (rho, u, theta) in zip(("left", "right"), scenario.far_fields):
         u = np.asarray(u, dtype=float).reshape(-1)
-        if np.any(u[1:]):
-            raise ValueError("both solvers need zero transverse velocity; "
-                             f"a far field has u = {u.tolist()}")
+        _check_field(rho, u, theta, f"the {side} far field")
         out.append((float(rho), float(u[0]), float(theta)))
     return tuple(out)
 
@@ -97,8 +107,7 @@ def sample(scenario: Scenario, n_cells: int):
     """The scenario on a uniform mesh of ``n_cells`` cells: cell centres x,
     width dx and the initial rho (n,), u (n, D) and theta (n,).
 
-    Raises ValueError for a transverse velocity in the initial field or in a
-    far field.
+    Raises ValueError for an initial field or a far field as ``_check_field`` does.
     """
     dx = (scenario.x_hi - scenario.x_lo) / n_cells
     x = scenario.x_lo + (np.arange(n_cells) + 0.5) * dx
@@ -106,11 +115,27 @@ def sample(scenario: Scenario, n_cells: int):
     # a copy: the moment step writes u_1 into it
     u = np.array(scenario.u0(x), dtype=float).reshape(n_cells, scenario.dim)
     theta = np.asarray(scenario.theta0(x), dtype=float)
-    if np.any(u[:, 1:]):
-        raise ValueError("both solvers need zero transverse velocity; "
-                         "the initial field has some")
+    _check_field(rho, u, theta, "the initial field")
     far_field_frames(scenario)
     return x, dx, rho, u, theta
+
+
+class SolverBreakdown(RuntimeError):
+    """A state a step cannot continue from, at its lowest bad cell and start time."""
+
+    def __init__(self, message: str, cell: int, time: float):
+        super().__init__(f"{message} (cell {cell}, t = {time:.6g})")
+        self.cell = cell
+        self.time = time
+
+
+def check_positive(rho, theta, time: float, first_cell: int = 0) -> None:
+    """Both steps' test after transport: SolverBreakdown at the first cell, counted
+    from ``first_cell``, whose rho or theta is not positive (NaN included)."""
+    if not (rho.min() > 0.0 and theta.min() > 0.0):     # NaN fails both
+        bad = ~(rho > 0.0) | ~(theta > 0.0)
+        raise SolverBreakdown("non-positive or NaN density or temperature after "
+                              "transport", first_cell + int(np.argmax(bad)), time)
 
 
 def check_mesh(n_cells: int, cfl: float) -> None:
@@ -185,8 +210,8 @@ def rankine_hugoniot_states(mach: float):
     Returns ((rho, u1, p) left, (rho, u1, p) right); both carry the same mass,
     momentum and energy fluxes, so the shock is stationary.
     """
-    if mach <= 1.0:
-        raise ValueError(f"shock Mach number must exceed 1, got {mach}")
+    if not 1.0 < mach < math.inf:      # NaN fails the test
+        raise ValueError(f"shock Mach number must be finite and exceed 1, got {mach}")
     s = math.sqrt(GAMMA_MONATOMIC)
     left = (1.0, s * mach, 1.0)
     right = (4.0 * mach**2 / (mach**2 + 3.0),

@@ -74,18 +74,10 @@ from .hermite import hermite_roots
 from .indices import AxisymmetricLayout, lead
 from .indices import pad_zero  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 from .closure import TopOrderClosure
-from .scenarios import Scenario, check_mesh, far_field_frames, integrate, sample
+from .scenarios import (Scenario, SolverBreakdown, check_mesh, check_positive,
+                        far_field_frames, integrate, sample)
 from .state import (conserved_from_coeffs, enforce_constraints, macro_from_conserved,
                     project_coeffs, sigma11_q1)
-
-
-class SolverBreakdown(RuntimeError):
-    """Unphysical cell state; carries the cell index and time of failure."""
-
-    def __init__(self, message: str, cell: int, time: float):
-        super().__init__(f"{message} (cell {cell}, t = {time:.6g})")
-        self.cell = cell
-        self.time = time
 
 
 @dataclass
@@ -210,6 +202,9 @@ class SimState:
 
 def make_state(scenario: Scenario, cfg: SolverConfig) -> SimState:
     """Equilibrium initial state: cell-centered macro fields, Maxwellian coefficients."""
+    if not math.isfinite(scenario.kn):
+        raise ValueError("the moment solver's top-order diffusion needs a finite Kn, "
+                         f"got {scenario.kn}")
     layout = AxisymmetricLayout(cfg.order, scenario.dim)
     x, dx, rho, u, theta = sample(scenario, cfg.n_cells)
     coeffs = np.zeros(layout.shape + (cfg.n_cells,))
@@ -445,10 +440,7 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     state.boundary_account[[0, 1, -1]] += dt * (cons[:, 1, 0] - cons[:, 2, -1])
     rho_new, m1, energy = cons[:, 0] - rate * (cons[:, 2] - cons[:, 1])
     u1_new, th_new = macro_from_conserved(rho_new, m1, energy, lay.dim)
-    if not (rho_new.min() > 0.0 and th_new.min() > 0.0):     # NaN fails both
-        bad = ~(rho_new > 0.0) | ~(th_new > 0.0)
-        raise SolverBreakdown("non-positive or NaN density or temperature after "
-                              "transport", int(np.argmax(bad)), state.t)
+    check_positive(rho_new, th_new, state.t)
 
     # all three rows re-expanded in the new frame by one call, and the cell
     # updated there

@@ -27,10 +27,6 @@ from .indices import AxisymmetricLayout
 from .indices import pad_zero  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 
 
-class UnphysicalStateError(ValueError):
-    """Conserved variables with no positive-(rho, theta) macro state."""
-
-
 def conserved_from_coeffs(layout: AxisymmetricLayout, g: np.ndarray, u1, theta):
     """(rho, m_1, E) of the axisymmetric expansion in frame (u_1, theta).
 

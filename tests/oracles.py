@@ -38,8 +38,7 @@ from regmom.indices import AxisymmetricLayout, enumerate_indices, lead
 from regmom.iteration import ManufacturedField, _sigma_q1, run_iteration
 from regmom.scenarios import Scenario, TauModel, far_field_frames
 from regmom.solver import SolverBreakdown, _regularize, flux_coefficients
-from regmom.state import (UnphysicalStateError, _trace, conserved_from_coeffs,
-                          macro_from_conserved, project_coeffs)
+from regmom.state import _trace, conserved_from_coeffs, macro_from_conserved, project_coeffs
 from regmom.state import enforce_constraints as pin_constraints
 
 
@@ -54,7 +53,7 @@ class MacroState:
     def __post_init__(self):
         self.u = np.atleast_1d(np.asarray(self.u, dtype=float))
         if not (self.rho > 0.0 and self.theta > 0.0):      # NaN fails the test
-            raise UnphysicalStateError(
+            raise ValueError(
                 f"need rho > 0 and theta > 0, got rho={self.rho}, theta={self.theta}")
 
     @property
@@ -486,14 +485,12 @@ def flux_form_maxwellian(grid, rho, u1, theta, dim: int,
                          out_h: np.ndarray | None = None):
     """Reduced nodal Maxwellians corrected to the exact discrete moments.
 
-    Solves a 3x3 system per cell for the quadratic factor; raises when the
-    requested moments are unphysical.
+    Solves a 3x3 system per cell for the quadratic factor; rho and theta
+    must be positive.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     u1 = np.atleast_1d(np.asarray(u1, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if np.any(~(rho > 0.0)) or np.any(~(theta > 0.0)):     # NaN fails the test
-        raise UnphysicalStateError("discrete Maxwellian needs rho > 0, theta > 0")
     v = grid.v
     gm = np.subtract(v, u1[:, None], out=out_g)
     gm *= gm
@@ -576,9 +573,8 @@ def flux_form_step(state, cfg, grid, ghosts=None, dt_limit: float | None = None,
         rho, u1, theta = _conserved(state.g, state.h, state.dim, grid)
         bad = ~(rho > 0.0) | ~(theta > 0.0)     # NaN counts as bad
         if bad.any():
-            raise UnphysicalStateError(
-                f"non-positive or NaN density or temperature after transport "
-                f"(cell {int(np.argmax(bad))}, t = {state.t:.6g})")
+            raise SolverBreakdown("non-positive or NaN density or temperature after "
+                                  "transport", int(np.argmax(bad)), state.t)
         tau = np.asarray(sc.tau_model.tau(sc.kn, rho, theta))
         gm, hm = flux_form_maxwellian(grid, rho, u1, theta, state.dim,
                                       out_g=scratch.gm, out_h=scratch.hm)

@@ -12,8 +12,7 @@ import regmom.dvm
 from regmom.dvm import (MIN_BLOCK_CELL_NODES, DVMConfig, DVMState, VelocityGrid, _blocks,
                         discrete_maxwellian, dvm_moments, dvm_run, dvm_step, make_dvm_state,
                         suggested_v_max)
-from regmom.scenarios import shock_structure, shock_tube
-from regmom.state import UnphysicalStateError
+from regmom.scenarios import SolverBreakdown, shock_structure, shock_tube
 
 from oracles import (MacroState, MomentLayout, enforce_constraints, flux_form_ghosts,
                      flux_form_step, he_table, stress_heat)
@@ -34,8 +33,8 @@ def periodic(dim=3, kn=0.1):
 
 
 def test_config_validation():
-    DVMConfig(n_cells=1, n_v=2, v_max=1.0, cfl=1.0)
-    for bad in (dict(n_cells=0), dict(cfl=0.0), dict(cfl=1.5), dict(n_v=1),
+    DVMConfig(n_cells=1, n_v=3, v_max=1.0, cfl=1.0)
+    for bad in (dict(n_cells=0), dict(cfl=0.0), dict(cfl=1.5), dict(n_v=1), dict(n_v=2),
                 dict(v_max=0.0), dict(v_max=-3.0)):
         with pytest.raises(ValueError):
             DVMConfig(**{"n_cells": 8, "n_v": 10, "v_max": 5.0, **bad})
@@ -47,7 +46,8 @@ def test_corrected_maxwellian_moments_exact(dim):
     rho = np.array([7.0, 1.0, 2.5])
     u1 = np.array([0.0, 0.4, -0.6])
     theta = np.array([1.0, 1.3, 0.7])
-    g, h = discrete_maxwellian(grid, rho, u1, theta, dim)
+    g, h, miss = discrete_maxwellian(grid, rho, u1, theta, dim)
+    assert miss is None
     state = DVMState(scenario=periodic(dim), x=np.zeros(3), dx=1.0, g=g, h=h)
     mom = dvm_moments(state, grid)
     assert np.abs(mom["rho"] - rho).max() < 1e-12 * rho.max()
@@ -60,19 +60,12 @@ def test_corrected_maxwellian_moments_exact(dim):
 
 def test_discrete_maxwellian_stress_heat_vanish():
     grid = VelocityGrid.make(160, 12.0)
-    g, h = discrete_maxwellian(grid, np.array([2.0]), np.array([0.3]),
-                               np.array([1.4]), 3)
+    g, h, _ = discrete_maxwellian(grid, np.array([2.0]), np.array([0.3]),
+                                  np.array([1.4]), 3)
     state = DVMState(scenario=periodic(3), x=np.zeros(1), dx=1.0, g=g, h=h)
     mom = dvm_moments(state, grid)
     assert abs(mom["sigma11"][0]) < 1e-8
     assert abs(mom["q1"][0]) < 1e-8
-
-
-def test_discrete_maxwellian_rejects_unphysical():
-    grid = VelocityGrid.make(40, 8.0)
-    with pytest.raises(UnphysicalStateError):
-        discrete_maxwellian(grid, np.array([-1.0]), np.array([0.0]),
-                            np.array([1.0]), 3)
 
 
 @pytest.mark.parametrize("theta", [1e-4, 1e-6])
@@ -80,8 +73,7 @@ def test_discrete_maxwellian_rejects_under_resolved(theta):
     # 200 nodes on [-12, 12] are 0.12 apart: a gas this cold sits on one
     # node, and no quadratic factor restores its moments
     grid = VelocityGrid.make(200, 12.0)
-    with pytest.raises(UnphysicalStateError, match=r"cell 1 \("):
-        discrete_maxwellian(grid, [1.0, 1.0], [0.0, 0.05], [1.0, theta])
+    assert discrete_maxwellian(grid, [1.0, 1.0], [0.0, 0.05], [1.0, theta])[2] == 1
 
 
 def test_step_names_cell_and_time_of_an_unresolvable_maxwellian():
@@ -92,8 +84,23 @@ def test_step_names_cell_and_time_of_an_unresolvable_maxwellian():
     g = np.zeros((n, nv))
     g[:, 20], g[:, 21] = (1.0 - 1e-6) / grid.dv, 1e-6 / grid.dv
     state = DVMState(scenario=periodic(1), x=np.zeros(n), dx=1.0 / n, g=g, h=None, t=0.25)
-    with pytest.raises(UnphysicalStateError, match=r"cell 0 .* at t = 0\.25"):
+    with pytest.raises(SolverBreakdown, match="cannot represent") as err:
         dvm_step(state, DVMConfig(n_cells=n, n_v=nv, v_max=10.0), grid)
+    assert (err.value.cell, err.value.time) == (0, 0.25)
+
+
+@pytest.mark.parametrize("where", ["initial field", "right far field"])
+def test_make_dvm_state_rejects_a_grid_that_cannot_represent_the_setup(where):
+    # a setting error, not a breakdown: no step has run
+    sc = shock_tube()
+    if where == "right far field":
+        sc.far_fields = (sc.far_fields[0], (1.0, np.zeros(3), 1e-6))
+    else:
+        sc.theta0 = lambda x: np.full(np.asarray(x).size, 1e-6)
+    cfg = DVMConfig.from_scenario(sc, n_cells=8, n_v=40, v_max=10.0)
+    grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
+    with pytest.raises(ValueError, match=f"{where}.*--vmax.*--nv"):
+        make_dvm_state(sc, cfg, grid)
 
 
 def test_shock_tube_init_recovers_left_state():
@@ -127,7 +134,7 @@ def test_nan_cell_raises_unphysical():
     grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
     state = make_dvm_state(sc, cfg, grid)
     state.g[10] = np.nan
-    with pytest.raises(UnphysicalStateError):
+    with pytest.raises(SolverBreakdown):
         dvm_step(state, cfg, grid)
 
 
@@ -139,8 +146,9 @@ def test_breakdown_names_first_bad_cell_and_time():
     dvm_step(state, cfg, grid)
     t = state.t
     state.g[12] = np.nan            # upwind transport spreads it to cells 11 and 13
-    with pytest.raises(UnphysicalStateError, match=f"cell 11, t = {t:.6g}"):
+    with pytest.raises(SolverBreakdown) as err:
         dvm_step(state, cfg, grid)
+    assert (err.value.cell, err.value.time) == (11, t)
 
 
 def test_state_carries_ghost_rows_exactly_when_far_field():
@@ -150,7 +158,7 @@ def test_state_carries_ghost_rows_exactly_when_far_field():
     grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
     state = make_dvm_state(sc, cfg, grid)
     for j, (rho, u, theta) in enumerate(sc.far_fields):
-        g, h = discrete_maxwellian(grid, rho, u[0], theta, sc.dim)
+        g, h, _ = discrete_maxwellian(grid, rho, u[0], theta, sc.dim)
         assert np.array_equal(state.ghosts[:, j], np.stack([g[0], h[0]]))
     with pytest.raises(ValueError, match="ghost rows"):
         replace(state, ghosts=None)
@@ -208,7 +216,7 @@ def test_periodic_mass_conserved_per_step():
     grid = VelocityGrid.make(nv, 10.0)
     x = np.linspace(0.0, 1.0, n, endpoint=False)
     rho = 1.0 + 0.3 * np.sin(2 * math.pi * x)
-    g, h = discrete_maxwellian(grid, rho, 0.2 * np.ones(n), np.ones(n), 3)
+    g, h, _ = discrete_maxwellian(grid, rho, 0.2 * np.ones(n), np.ones(n), 3)
     state = DVMState(scenario=periodic(3), x=x, dx=1.0 / n, g=g, h=h)
     cfg = DVMConfig(n_cells=n, n_v=nv, v_max=10.0)
     m0 = totals(state, grid)[0]
@@ -231,7 +239,7 @@ def test_relaxation_conserves_all_three_moments():
     theta = 1.0 + 0.2 * np.sin(4 * math.pi * x)
     cfg = DVMConfig(n_cells=n, n_v=nv, v_max=10.0)
     for dim in (1, 2, 3):
-        g, h = discrete_maxwellian(grid, rho, u1, theta, dim)
+        g, h, _ = discrete_maxwellian(grid, rho, u1, theta, dim)
         g *= 1.0 + 0.05 * np.sin(grid.v)
         if h is not None:
             h *= 1.0 - 0.03 * np.cos(grid.v)
@@ -325,7 +333,7 @@ def cold_and_nan(n=32, nv=40, cold=None, nan=()):
     the next, and the v > 0 nodes of the ``nan`` rows are NaN, which upwind
     transport carries to the right neighbour only."""
     grid = VelocityGrid.make(nv, 10.0)
-    g, _ = discrete_maxwellian(grid, np.ones(n), np.zeros(n), np.ones(n))
+    g, _, _ = discrete_maxwellian(grid, np.ones(n), np.zeros(n), np.ones(n))
     if cold is not None:
         g[cold] = 0.0
         g[cold, 20], g[cold, 21] = (1.0 - 1e-6) / grid.dv, 1e-6 / grid.dv
@@ -335,23 +343,24 @@ def cold_and_nan(n=32, nv=40, cold=None, nan=()):
     return state, DVMConfig(n_cells=n, n_v=nv, v_max=10.0), grid
 
 
-@pytest.mark.parametrize("corrupt, cell", [
+@pytest.mark.parametrize("corrupt, where", [
     (dict(nan=(20,)), "cell 20, t = 0.5"),
     (dict(nan=(5, 20)), "cell 5, t = 0.5"),
     (dict(nan=(27, 20)), "cell 20, t = 0.5"),
     # a non-positive state anywhere outranks an unresolvable Maxwellian
     (dict(cold=slice(2, 12), nan=(20,)), "cell 20, t = 0.5"),
-    (dict(cold=slice(18, 28)), r"cell 19 .* at t = 0\.5"),
+    (dict(cold=slice(18, 28)), "cell 19, t = 0.5"),
 ])
-def test_breakdown_across_blocks_names_the_lowest_bad_cell(corrupt, cell):
-    messages = []
+def test_breakdown_across_blocks_names_the_lowest_bad_cell(corrupt, where):
+    messages = set()
     with ThreadPoolExecutor(1) as pool:
-        for count in (1, 2):
+        for count in (1, 2, 3, 4):
             state, cfg, grid = cold_and_nan(**corrupt)
-            with pytest.raises(UnphysicalStateError, match=cell) as err:
+            with pytest.raises(SolverBreakdown) as err:
                 dvm_step(state, cfg, grid, scratch=_blocks(32, 40, count), pool=pool)
-            messages.append(str(err.value))
-    assert messages[0] == messages[1]
+            assert f"cell {err.value.cell}, t = {err.value.time:g}" == where
+            messages.add(str(err.value))
+    assert len(messages) == 1       # the same breakdown for any block count
 
 
 def tube_run_counting_threads(monkeypatch, poison_at=None):
@@ -385,8 +394,9 @@ def test_dvm_run_stops_its_worker_threads(monkeypatch):
         assert max(seen) == before + state.blocks - 1
 
     sc, cfg, seen = tube_run_counting_threads(monkeypatch, poison_at=3)
-    with pytest.raises(UnphysicalStateError, match=f"cell {cfg.n_cells - 2}"):
+    with pytest.raises(SolverBreakdown) as err:
         dvm_run(sc, cfg)
+    assert err.value.cell == cfg.n_cells - 2
     assert len(seen) == 3
     assert threading.active_count() == before
 

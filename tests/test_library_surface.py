@@ -8,8 +8,13 @@ since the benchmark wraps functions by name), or when ``[project.scripts]``
 points at it.  Re-exports in ``__init__.py`` do not count: code that only
 the tests call belongs with the tests.  Methods whose names start with an
 underscore, dunders included, are exempt.
+
+Every exception class of the library is raised in the module that defines
+it: a class defined in one module for others to raise is a second owner of
+the failure it names.
 """
 import ast
+import builtins
 import tomllib
 from pathlib import Path
 
@@ -92,3 +97,47 @@ def test_library_definitions_have_callers():
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     outside.update(target.rpartition(":")[2] for target in scripts.values())
     assert unused_definitions(modules, outside) == []
+
+
+def exceptions_not_raised_at_home(modules: dict[str, str]) -> list[str]:
+    """'<module>.<class>' for each exception class whose own module has no
+    ``raise`` of it.  A class is an exception class when a base is a builtin
+    exception or another exception class of ``modules``."""
+    trees = {mod: ast.parse(src) for mod, src in modules.items()}
+    classes = [(mod, node) for mod, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    exceptions: set[str] = set()
+    for _ in classes:      # enough passes for any chain of library bases
+        for _, node in classes:
+            for base in node.bases:
+                name = base.id if isinstance(base, ast.Name) else None
+                builtin = getattr(builtins, name or "", None)
+                if name in exceptions or (isinstance(builtin, type)
+                                          and issubclass(builtin, BaseException)):
+                    exceptions.add(node.name)
+    raised = {mod: set() for mod in trees}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(target, ast.Name):
+                    raised[mod].add(target.id)
+    return [f"{mod}.{node.name}" for mod, node in classes
+            if node.name in exceptions and node.name not in raised[mod]]
+
+
+def test_checker_flags_exceptions_raised_only_elsewhere():
+    modules = {
+        "a": ("class Lost(ValueError): pass\n"
+              "class Kept(RuntimeError): pass\n"
+              "class Child(Kept): pass\n"
+              "class Plain: pass\n"
+              "def fail(): raise Kept('x')\n"),
+        "b": "from .a import Child, Lost\ndef g():\n    raise Lost('y')\n",
+    }
+    assert exceptions_not_raised_at_home(modules) == ["a.Lost", "a.Child"]
+
+
+def test_library_exceptions_are_raised_where_they_are_defined():
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert exceptions_not_raised_at_home(modules) == []

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -363,6 +366,33 @@ def test_cli_make_ref_cache_key_covers_dimension(tmp_path, capsys):
 def test_cli_rejects_unfit_numerics(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "shock-structure", "--mach", "nan"],
+    ["run", "--scenario", "shock-structure", "--mach", "inf"],
+    ["make-ref", "--scenario", "shock-structure", "--mach", "inf"],
+    ["run", "--kn", "nan"],
+    ["make-ref", "--kn", "nan"],
+    ["make-ref", "--kn", "-0.5"],
+    ["run", "--scenario", "shock-structure", "--mach", "2", "--omega", "3.5"],
+    ["make-ref", "--scenario", "shock-structure", "--mach", "2", "--omega", "nan"],
+    ["run", "--kn", "inf"],
+    ["make-ref", "--nv", "2"],
+    ["make-ref", "--scenario", "shock-structure", "--mach", "9", "--vmax", "4"],
+], ids=" ".join)
+def test_cli_rejects_unusable_settings_before_any_step(argv, tmp_path):
+    # rejected at setup: none may reach a step, warn, or leave a file behind
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "regmom.cli", *argv,
+         "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 def test_cli_make_ref_cache_hit_reports_run_record(monkeypatch, tmp_path, capsys):

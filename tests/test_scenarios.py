@@ -66,6 +66,33 @@ def test_shock_structure_rejects_subsonic():
         shock_structure(1.0)
 
 
+@pytest.mark.parametrize("mach", [math.nan, math.inf])
+def test_rankine_hugoniot_rejects_nan_and_infinite_mach(mach):
+    with pytest.raises(ValueError, match="Mach"):
+        rankine_hugoniot_states(mach)
+
+
+@pytest.mark.parametrize("kn", [math.nan, -0.5])
+def test_scenario_rejects_nan_or_negative_kn(kn):
+    with pytest.raises(ValueError, match="Kn"):
+        shock_tube(kn=kn)
+    with pytest.raises(ValueError, match="Kn"):
+        shock_structure(2.0, kn=kn)
+
+
+def test_scenario_accepts_kn_zero_and_infinite():
+    assert shock_tube(kn=0.0).kn == 0.0
+    assert shock_tube(kn=math.inf).kn == math.inf    # the DVM's free flight
+
+
+@pytest.mark.parametrize("omega", [0.49, 1.01, 3.5, math.nan])
+def test_tau_model_vhs_rejects_omega_outside_its_range(omega):
+    # omega = 3.5 zeroes the denominator of the VHS prefactor
+    with pytest.raises(ValueError, match="omega"):
+        TauModel("vhs", omega=omega)
+    TauModel("kn-over-rho", omega=omega)    # which does not read omega
+
+
 def test_shock_structure_scenario_fields():
     sc = shock_structure(2.05)
     assert sc.kn == 1.0

@@ -630,6 +630,36 @@ def test_make_state_rejects_transverse_velocity(where, solver):
             make_dvm_state(sc, cfg, VelocityGrid.make(cfg.n_v, cfg.v_max))
 
 
+@pytest.mark.parametrize("solver", ["moment", "dvm"])
+@pytest.mark.parametrize("where", ["initial-rho", "initial-theta", "far-rho", "far-theta"])
+def test_make_state_rejects_non_positive_density_or_temperature(where, solver):
+    # a setting error for both solvers, checked once at setup: not a
+    # breakdown at t = 0
+    sc = shock_tube()
+    if where == "initial-rho":
+        sc.rho0 = lambda x: np.where(np.asarray(x) < 0.0, 7.0, -1.0)
+    elif where == "initial-theta":
+        sc.theta0 = lambda x: np.where(np.asarray(x) < 0.0, 1.0, np.nan)
+    elif where == "far-rho":
+        sc.far_fields = ((0.0, np.zeros(3), 1.0), sc.far_fields[1])
+    else:
+        sc.far_fields = (sc.far_fields[0], (1.0, np.zeros(3), math.nan))
+    if solver == "moment":
+        with pytest.raises(ValueError, match="rho > 0 and theta > 0"):
+            make_state(sc, SolverConfig.from_scenario(sc, order=3, n_cells=8))
+    else:
+        cfg = DVMConfig.from_scenario(sc, n_cells=8, n_v=40, v_max=10.0)
+        with pytest.raises(ValueError, match="rho > 0 and theta > 0"):
+            make_dvm_state(sc, cfg, VelocityGrid.make(cfg.n_v, cfg.v_max))
+
+
+def test_make_state_rejects_infinite_kn():
+    # the top-order diffusion needs a finite tau; only the DVM has a free flight
+    sc = shock_tube(kn=math.inf)
+    with pytest.raises(ValueError, match="finite Kn"):
+        make_state(sc, SolverConfig.from_scenario(sc, order=3, n_cells=8))
+
+
 @pytest.mark.parametrize("dim,steps", [(1, 23), (2, 22), (3, 22)])
 def test_shock_tube_matches_full_layout_golden(dim, steps):
     """Outputs of the full multi-index solver this layout replaced, made by
