@@ -128,7 +128,6 @@ def cmd_make_ref(args) -> int:
     cfg = dvm.DVMConfig.from_scenario(scenario, n_cells=args.cells, n_v=args.nv,
                                       v_max=args.vmax, cfl=args.cfl)
     refdir = Path(args.out)
-    refdir.mkdir(parents=True, exist_ok=True)
     tag = f"{args.scenario}_kn{scenario.kn:g}"
     if args.mach is not None:
         tag += f"_m{args.mach:g}"
@@ -154,6 +153,7 @@ def cmd_make_ref(args) -> int:
               "wall_time_s": time.perf_counter() - t0}
     if not state.converged:
         _warn_not_converged(state.residual, cfg.steady_tol, state.t)
+    refdir.mkdir(parents=True, exist_ok=True)
     output.write_columns(path, dvm.dvm_moments(state, grid))
     record_path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path} (t = {state.t:.6g}, {state.steps} steps)")

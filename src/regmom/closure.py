@@ -16,10 +16,13 @@ term needs f_beta at |beta| = M + 1.  Two closures are provided:
 
         f_beta = - tau theta sum_j d f_{beta-e_j} / dx_j.
 
+Each term has one owner: TopOrderClosure.linear is the linear closure, which
+the solver integrates implicitly as a diffusion, and TopOrderClosure.nonlinear
+the rest of the nonlinear one (its p_x, sigma and q terms), added explicitly.
 Coefficients with a negative index component are zero; spatial gradients are
-supplied by the caller (the solver uses finite differences, at the top entries
-only), which keeps both closures pointwise.  Space is one-dimensional (j = 1).
-TopOrderClosure reads the solver's axisymmetric g[a, k, face], faces last.
+supplied by the caller, which keeps both pointwise.  Space is
+one-dimensional (j = 1).  TopOrderClosure reads the solver's axisymmetric
+g[a, k, face], faces last.
 
 The stress subscript in the nonlinear expression is sigma_dj: the pair (d, j)
 runs over the double sum, which is the only reading under which the
@@ -68,12 +71,13 @@ class TopOrderClosure:
         """-tau theta dg/dx at each top entry; dfdx (n_top, ...) holds dg/dx there."""
         return -(tau * theta) * dfdx
 
-    def nonlinear(self, rho, theta, tau, p_x, g, dfdx, sigma11, q1):
-        """Full nonlinear closure; sigma11 and q1 are the local moments."""
+    def nonlinear(self, rho, theta, tau, p_x, g, sigma11, q1):
+        """The nonlinear closure less ``linear``: its p_x, sigma_11 and q_1
+        terms, with sigma11 and q1 the local moments."""
         D = self.layout.dim
         g_top = g[self.a, self.k]
         beta1_plus1 = lead(self.beta1_plus1, g_top)
-        val = tau * (p_x / rho * g_top - theta * dfdx)
+        val = tau * (p_x / rho * g_top)
         qfac = q1 / ((D + 2) * theta * rho)
         val += 0.5 * sigma11 * self._at(g, -1, 0) / rho
         val += qfac * (theta * self._at(g, -2, 0) + beta1_plus1 * g_top)

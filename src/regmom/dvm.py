@@ -174,9 +174,10 @@ def discrete_maxwellian(grid: VelocityGrid, rho, u1, theta, dim: int = 1,
     c12 = m1 * m2 - m0 * m3
     c22 = m0 * m2 - m1 * m1
     det = m0 * c00 + m1 * c01 + m2 * c02
-    alpha = (c00 + theta * c02) / det
-    beta = (c01 + theta * c12) / det
-    gamma = (c02 + theta * c22) / det
+    with np.errstate(divide="ignore", invalid="ignore"):   # det = 0 fails ok below
+        alpha = (c00 + theta * c02) / det
+        beta = (c01 + theta * c12) / det
+        gamma = (c02 + theta * c22) / det
     # back to a + b v + c v^2, checked against the power sums about v = 0
     a = alpha - u1 * (beta - u1 * gamma)
     b = beta - 2.0 * u1 * gamma
@@ -318,7 +319,8 @@ def _advance(state: DVMState, blk: _Scratch, grid: VelocityGrid, dt: float, nu_v
     except SolverBreakdown as exc:
         return 0, exc
     tau = np.asarray(sc.tau_model.tau(sc.kn, rho, theta))
-    decay = np.exp(-dt / tau)
+    with np.errstate(divide="ignore"):       # tau = 0: equilibrium, exp(-inf) = 0
+        decay = np.exp(-dt / tau)
     gm, _, miss = discrete_maxwellian(grid, rho, u1, theta, weight=1.0 - decay,
                                       out=blk.gm, work=blk.diff[:-1])
     if miss is not None:

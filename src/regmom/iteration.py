@@ -117,18 +117,18 @@ def _sigma_q1(f: np.ndarray, dim: int):
     return sig, q
 
 
-def time_derivative_fields(state: IterationState, sample: FieldSample):
+def time_derivative_fields(state: IterationState, sample: FieldSample, fx: np.ndarray):
     """du/dt and dtheta/dt from the conservation laws on the current sweep.
 
     The material derivatives are closed with the sweep's own pressure tensor
-    and heat flux (spatial variation along x_1 only).  Freezing these fields
-    makes the sweep map linear in the coefficients.
+    and heat flux (spatial variation along x_1 only); ``fx`` is the x-derivative
+    of ``state.coeffs``.  Freezing these fields makes the sweep map linear in
+    the coefficients.
     """
     D = sample.dim
     rho, theta = sample.rho, sample.theta
     u1 = sample.u[:, 0]
     sig, _ = _sigma_q1(state.coeffs, D)
-    fx = fd4(state.coeffs, sample.dx)
     sig_x, q1_x = _sigma_q1(fx, D)
     p_x = sample.rho_x * theta + rho * sample.theta_x
     dudt = np.empty_like(sample.u)
@@ -157,7 +157,7 @@ def iterate_once(state: IterationState, sample: FieldSample, tau: float,
 
     theta, u1 = col(sample.theta), col(sample.u[:, 0])
     a1p1 = np.arange(1.0, state.order + 2.0).reshape((-1,) + (1,) * (D - 1))
-    dudt, dthdt = (time_derivative_fields(state, sample)
+    dudt, dthdt = (time_derivative_fields(state, sample, fx)
                    if materials is None else materials)
 
     def at(arr, d=0, m=0, m1=0):

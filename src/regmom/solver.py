@@ -34,8 +34,8 @@ value per cell or face.  One time step is a Lie splitting of three substeps:
       systems of all top entries stacked block-diagonally and solved by one
       LAPACK gtsv call.  gtsv is loaded from scipy's _flapack extension alone
       (_gtsv): importing scipy.linalg for it would cost the first step about
-      0.2 s and the process about 25 MB.  The extra terms of the nonlinear
-      closure are never stiff and are always explicit.
+      0.2 s and the process about 25 MB.  The rest of the nonlinear closure
+      (TopOrderClosure.nonlinear) is never stiff and is always explicit.
 
   (c) BGK relaxation, exact in the local frame: every coefficient of grade
       a + 2k >= 2 decays by exp(-dt/tau) in total; conserved moments are untouched.
@@ -306,18 +306,29 @@ def _solve_cyclic_tridiag(lower, diag, upper, corner_tr, corner_bl, rhs):
 
 def _regularize(state: SimState, cfg: SolverConfig, dt: float, coeffs) -> None:
     """Substep (b): apply the top-order closure as a flux on the grade a + 2k = M
-    of ``coeffs``, in the state's frames: backward Euler on the diffusive
-    core, after the nonlinear closure's explicit remainder."""
-    sc, layout, dx = state.scenario, state.layout, state.dx
+    of ``coeffs``, in the state's frames: backward Euler on the linear closure's
+    diffusion, after the nonlinear closure's other terms as an explicit flux."""
+    sc, layout, top, dx = state.scenario, state.layout, state.top, state.dx
     top_a, top_k = layout.top_a, layout.top_k
-    co_e, fr = _scratch(state).extend(coeffs, state.rho, state.u[:, 0], state.theta)
+    scr = _scratch(state)
+    co_e, fr = scr.extend(coeffs, state.rho, state.u[:, 0], state.theta)
     rho_f, th_f = 0.5 * (fr[::2, :-1] + fr[::2, 1:])         # rows rho and theta
     tau_f = sc.tau_model.tau(sc.kn, rho_f, th_f)
     if cfg.closure == "nonlinear":
-        _nonlinear_remainder(state, dt, coeffs, co_e, fr, rho_f, th_f, tau_f)
+        # face averages of all entries as one contiguous run: the sum of each
+        # value and the next, read where both belong to one entry
+        flat, pairs = co_e.reshape(-1), scr.coeffs_f.reshape(-1)[:-1]
+        np.add(flat[:-1], flat[1:], out=pairs)
+        pairs *= 0.5
+        g_f = scr.coeffs_f[..., :-1]                        # (M+1, K, n+1)
+        p_e = fr[0] * fr[2]
+        p_x = (p_e[1:] - p_e[:-1]) / dx
+        rest = top.nonlinear(rho_f, th_f, tau_f, p_x, g_f, *sigma11_q1(layout, g_f))
+        rate = dt / dx * top.transport_factor[:, None]
+        coeffs[top_a, top_k] -= rate * (rest[:, 1:] - rest[:, :-1])
 
     kappa_f = tau_f * th_f                                   # (n+1,)
-    g = (dt * (top_a + 1) / dx**2)[:, None]                  # one system per top entry
+    g = (dt * top.transport_factor / dx**2)[:, None]         # one system per top entry
     lower = -g * kappa_f[:-1]
     upper = -g * kappa_f[1:]
     diag = 1.0 + g * (kappa_f[:-1] + kappa_f[1:])
@@ -329,30 +340,6 @@ def _regularize(state: SimState, cfg: SolverConfig, dt: float, coeffs) -> None:
         # far-field ghosts hold equilibrium: Dirichlet zero on the top grade
         sol = _solve_banded_tridiag(lower, diag, upper, rhs)
     coeffs[top_a, top_k] = sol
-
-
-def _nonlinear_remainder(state: SimState, dt: float, coeffs, co_e, fr, rho_f, th_f, tau_f):
-    """The nonlinear closure less its linear part, a non-stiff flux applied
-    explicitly to the top grade of ``coeffs``; co_e and fr are the
-    coefficients and (rho, u_1, theta) with ghost cells, the rest face values."""
-    layout, top, dx = state.layout, state.top, state.dx
-    co_top = co_e[layout.top_a, layout.top_k]
-    dfdx = (co_top[:, 1:] - co_top[:, :-1]) / dx        # (n_top, n+1) face gradients
-    p_e = fr[0] * fr[2]
-    p_x = (p_e[1:] - p_e[:-1]) / dx
-    # face averages of all entries as one contiguous run: the sum of each
-    # value and the next, read where both belong to one entry
-    co_f = state.scratch.coeffs_f
-    flat, pairs = co_e.reshape(-1), co_f.reshape(-1)[:-1]
-    np.add(flat[:-1], flat[1:], out=pairs)
-    pairs *= 0.5
-    sig_cells, q1_cells = sigma11_q1(layout, co_e)
-    sig_f = 0.5 * (sig_cells[:-1] + sig_cells[1:])
-    q1_f = 0.5 * (q1_cells[:-1] + q1_cells[1:])
-    c_full = top.nonlinear(rho_f, th_f, tau_f, p_x, co_f[..., :-1], dfdx, sig_f, q1_f)
-    rest = c_full - top.linear(th_f, tau_f, dfdx)
-    rate = dt / dx * top.transport_factor[:, None]
-    coeffs[layout.top_a, layout.top_k] -= rate * (rest[:, 1:] - rest[:, :-1])
 
 
 def _face_fluxes(lay: AxisymmetricLayout, scr: _Scratch):
@@ -384,9 +371,12 @@ def _face_fluxes(lay: AxisymmetricLayout, scr: _Scratch):
     return phi, face_frames
 
 
-def _relax(g: np.ndarray, decay: np.ndarray) -> None:
-    """Scale every coefficient of grade a + 2k >= 2 by ``decay`` (per cell), in
-    contiguous blocks: the rows a >= 2 whole, then k >= 1 of rows 0 and 1."""
+def _relax(g: np.ndarray, dt: float, tau: np.ndarray) -> None:
+    """Relax over ``dt``: scale every coefficient of grade a + 2k >= 2 by
+    exp(-dt/tau) per cell (0 at tau = 0, the equilibrium limit), in contiguous
+    blocks: the rows a >= 2 whole, then k >= 1 of rows 0 and 1."""
+    with np.errstate(divide="ignore"):
+        decay = np.exp(-dt / tau)
     g[2:] *= decay
     g[0, 1:] *= decay
     g[1, 1:] *= decay
@@ -417,7 +407,7 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
     rate = dt / dx
 
     # --- (c) leading half of the relaxation: every grade a + 2k >= 2 ------
-    _relax(g, np.exp(-0.5 * dt / tau))
+    _relax(g, 0.5 * dt, tau)
 
     # --- (a) hyperbolic transport in shared interface frames -------------
     scr.extend(g, state.rho, u1, theta)
@@ -464,7 +454,7 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
                               int(np.argmin(np.isfinite(top).all(axis=0))), state.t)
 
     # --- (c) trailing half of the relaxation --------------------------------
-    _relax(g, np.exp(-0.5 * dt / tau))
+    _relax(g, 0.5 * dt, tau)
     scr.tau = (rho_new, th_new, tau)     # the next step's leading tau
 
     state.t += dt

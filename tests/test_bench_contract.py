@@ -10,6 +10,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -45,3 +46,47 @@ def test_trace_wrappers_install_and_restore(bench_modules):
     tr.close()
     assert all(getattr(o, a) is before[(id(o), a)] for o, a in owners)
     assert sys.meta_path == hooks_before
+
+
+TUBE_CHECKS = {"rho_theta_finite_positive", "budget_rel", "l1_rho_vs_dvm_ref"}
+STRUCTURE_CHECKS = {"converged_residual", "normalized_rho_finite", "overshoot",
+                    "monotone_max_decrease", "budget_rel", "mass_flux_max_dev"}
+DVM_CHECKS = {"mass_rel", "energy_rel", "momentum_rel", "l1_rho_vs_exact_euler"}
+
+
+def _assert_checks(checks: dict, names: set) -> None:
+    assert set(checks) == names
+    for c in checks.values():
+        assert isinstance(c["value"], float) and np.isfinite(c["value"])
+        assert isinstance(c["ok"], bool)
+
+
+def test_workload_checks_read_library_states(bench_modules):
+    # the checks read SimState.u as (n, D), boundary_account as D+2 entries,
+    # the far fields as (rho, u vector, theta) and DVMState.g/.h: small
+    # states made by the library go through each of them
+    workloads, _ = bench_modules
+    from regmom import dvm, scenarios, solver
+
+    sc = scenarios.make_scenario("shock-tube", kn=0.5)
+    cfg = solver.SolverConfig.from_scenario(sc, order=3, n_cells=40)
+    state = solver.make_state(sc, cfg)
+    tot0 = workloads._moment_totals(state.rho, state.u, state.theta, state.dx)
+    assert tot0.shape == state.boundary_account.shape == (sc.dim + 2,)
+    solver.run(state, cfg)
+    _assert_checks(workloads._checks_tube(state, tot0), TUBE_CHECKS)
+
+    sc = scenarios.make_scenario("shock-structure", mach=9.0)
+    cfg = solver.SolverConfig.from_scenario(sc, order=3, n_cells=30, t_max=1.5)
+    state = solver.make_state(sc, cfg)
+    tot0 = workloads._moment_totals(state.rho, state.u, state.theta, state.dx)
+    solver.run(state, cfg)
+    _assert_checks(workloads._checks_structure(state, cfg, sc, tot0), STRUCTURE_CHECKS)
+
+    sc = scenarios.make_scenario("shock-tube", kn=0.02)
+    cfg = dvm.DVMConfig.from_scenario(sc, n_cells=40, n_v=24)
+    grid = dvm.VelocityGrid.make(cfg.n_v, cfg.v_max)
+    tot0 = workloads._dvm_totals(dvm.make_dvm_state(sc, cfg, grid), grid)
+    assert len(tot0) == 3 and all(isinstance(v, float) for v in tot0)
+    state, grid = dvm.dvm_run(sc, cfg)
+    _assert_checks(workloads._checks_dvm(state, grid, sc, tot0), DVM_CHECKS)

@@ -89,6 +89,7 @@ def test_step_names_cell_and_time_of_an_unresolvable_maxwellian():
     assert (err.value.cell, err.value.time) == (0, 0.25)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("where", ["initial field", "right far field"])
 def test_make_dvm_state_rejects_a_grid_that_cannot_represent_the_setup(where):
     # a setting error, not a breakdown: no step has run
@@ -251,6 +252,22 @@ def test_relaxation_conserves_all_three_moments():
             dvm_step(state, cfg, grid)
             assert np.all(np.abs(totals(state, grid) - prev) <= 1e-13 * np.abs(prev)), dim
         assert np.all(np.abs(totals(state, grid) - first) <= 1e-12 * np.abs(first)), dim
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_step_at_kn_zero_lands_on_the_discrete_maxwellian():
+    # tau = 0 is the equilibrium limit: the relaxation factor is exp(-inf) = 0,
+    # so after one step g and h are the discrete Maxwellians of their own moments
+    sc = shock_tube(kn=0.0)
+    cfg = DVMConfig.from_scenario(sc, n_cells=16, n_v=40)
+    grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
+    state = make_dvm_state(sc, cfg, grid)
+    dvm_step(state, cfg, grid)
+    mom = dvm_moments(state, grid)
+    g_m, h_m, miss = discrete_maxwellian(grid, mom["rho"], mom["u1"], mom["theta"], sc.dim)
+    assert miss is None
+    assert np.abs(state.g - g_m).max() <= 1e-13 * np.abs(g_m).max()
+    assert np.abs(state.h - h_m).max() <= 1e-13 * np.abs(h_m).max()
 
 
 CASES = {"farfield-D1": ("farfield", 1, 0.02), "farfield-D2": ("farfield", 2, 0.02),

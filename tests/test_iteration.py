@@ -95,11 +95,12 @@ def test_compatibility_trace_preserved(generic_sample):
 
 def test_sweep_is_linear_in_previous_coefficients(generic_sample):
     # with the material-derivative fields frozen, the sweep map is linear
-    from regmom.iteration import time_derivative_fields
+    from regmom.iteration import fd4, time_derivative_fields
 
     rng = np.random.default_rng(8)
     base = maxwellian_iteration_state(generic_sample, max_order=6)
-    materials = time_derivative_fields(base, generic_sample)
+    materials = time_derivative_fields(base, generic_sample,
+                                       fd4(base.coeffs, generic_sample.dx))
     pert_a = rng.normal(size=base.coeffs.shape) * 0.02
     pert_b = rng.normal(size=base.coeffs.shape) * 0.02
     # conserved entries stay locked, and the dense array stays zero above M

@@ -368,6 +368,16 @@ def test_cli_rejects_unfit_numerics(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _cli_warnings_as_errors(argv, tmp_path):
+    """``regmom`` with ``argv`` in a fresh interpreter that turns every
+    RuntimeWarning into an error, writing under tmp_path / "o"."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "regmom.cli", *argv,
+         "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--scenario", "shock-structure", "--mach", "nan"],
     ["run", "--scenario", "shock-structure", "--mach", "inf"],
@@ -380,19 +390,27 @@ def test_cli_rejects_unfit_numerics(argv, tmp_path, capsys):
     ["run", "--kn", "inf"],
     ["make-ref", "--nv", "2"],
     ["make-ref", "--scenario", "shock-structure", "--mach", "9", "--vmax", "4"],
+    ["make-ref", "--nv", "3", "--vmax", "100", "--cells", "8"],
 ], ids=" ".join)
 def test_cli_rejects_unusable_settings_before_any_step(argv, tmp_path):
-    # rejected at setup: none may reach a step, warn, or leave a file behind
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "regmom.cli", *argv,
-         "--out", str(tmp_path / "o")],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    # rejected at setup: none may reach a step, warn, or leave a path behind
+    proc = _cli_warnings_as_errors(argv, tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert not list(tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize("argv", [["run", "--kn", "0", "--cells", "16"],
+                                  ["make-ref", "--kn", "0", "--cells", "16", "--nv", "40"]],
+                         ids=" ".join)
+def test_cli_runs_kn_zero_without_warnings(argv, tmp_path):
+    # Kn = 0 is the equilibrium limit tau = 0, which both solvers accept
+    proc = _cli_warnings_as_errors(argv, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert list((tmp_path / "o").glob("*.csv"))
 
 
 def test_cli_make_ref_cache_hit_reports_run_record(monkeypatch, tmp_path, capsys):

@@ -418,6 +418,20 @@ def test_grad_closure_breaks_down_where_the_regularization_does_not(monkeypatch)
         run(grad, cfg)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("closure", ["linear", "nonlinear"])
+def test_step_at_kn_zero_relaxes_to_equilibrium(closure):
+    # tau = 0 is the equilibrium limit: the trailing relaxation factor is
+    # exp(-inf) = 0, so every coefficient of grade >= 2 ends the step at 0
+    sc = shock_tube(kn=0.0)
+    cfg = SolverConfig.from_scenario(sc, order=5, n_cells=16, closure=closure)
+    state = make_state(sc, cfg)
+    for _ in range(2):
+        step(state, cfg)
+    assert np.isfinite(state.coeffs).all()
+    assert (state.coeffs[state.layout.grades >= 2] == 0.0).all()
+
+
 def test_explicit_and_implicit_diffusion_agree_when_nonstiff():
     # backward Euler on the top-order diffusion and a forward-Euler difference
     # of the same closure flux, applied to one state whose diffusion is not
