@@ -76,8 +76,8 @@ class DVMConfig:
         check_mesh(self.n_cells, self.cfl)
         if self.n_v < 3:    # the three-moment correction is singular on fewer
             raise ValueError(f"need at least three velocity nodes, got {self.n_v}")
-        if not self.v_max > 0.0:
-            raise ValueError(f"v_max must be positive, got {self.v_max}")
+        if not 0.0 < self.v_max < math.inf:     # NaN fails the test
+            raise ValueError(f"v_max must be positive and finite, got {self.v_max}")
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, n_cells: int | None = None, n_v: int = 200,
@@ -114,7 +114,7 @@ class DVMState:
     blocks: int = 1                 # cell blocks of the last step
 
     def __post_init__(self):
-        if (self.ghosts is None) != (self.scenario.boundary == "periodic"):
+        if (self.ghosts is None) != (self.scenario.far_fields is None):
             raise ValueError("a far-field state needs ghost rows; a periodic one has none")
 
     @property
@@ -228,7 +228,7 @@ def dvm_moments(state: DVMState, grid: VelocityGrid) -> dict[str, np.ndarray]:
 def make_dvm_state(scenario: Scenario, cfg: DVMConfig, grid: VelocityGrid) -> DVMState:
     """Discrete Maxwellians of the initial field, and of the far fields as ghost
     rows; raises ValueError when the velocity grid cannot represent one of them."""
-    x, dx, rho, u, theta = sample(scenario, cfg.n_cells)
+    x, dx, rho, u1, theta = sample(scenario, cfg.n_cells)
 
     def maxwellian(where, *frame):
         g, h, miss = discrete_maxwellian(grid, *frame, scenario.dim)
@@ -237,7 +237,7 @@ def make_dvm_state(scenario: Scenario, cfg: DVMConfig, grid: VelocityGrid) -> DV
                              f"cannot represent {where}; widen --vmax or add nodes with --nv")
         return g, h
 
-    g, h = maxwellian("the initial field", rho, u[:, 0], theta)
+    g, h = maxwellian("the initial field", rho, u1, theta)
     far = far_field_frames(scenario)
     ghosts = None
     if far is not None:
@@ -319,7 +319,7 @@ def _advance(state: DVMState, blk: _Scratch, grid: VelocityGrid, dt: float, nu_v
     except SolverBreakdown as exc:
         return 0, exc
     tau = np.asarray(sc.tau_model.tau(sc.kn, rho, theta))
-    with np.errstate(divide="ignore"):       # tau = 0: equilibrium, exp(-inf) = 0
+    with np.errstate(divide="ignore", over="ignore"):   # tau = 0 or subnormal: exp(-inf) = 0
         decay = np.exp(-dt / tau)
     gm, _, miss = discrete_maxwellian(grid, rho, u1, theta, weight=1.0 - decay,
                                       out=blk.gm, work=blk.diff[:-1])

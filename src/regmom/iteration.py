@@ -226,12 +226,17 @@ def magnitude_table(field: ManufacturedField, taus: Sequence[float],
     The moment norm is max |f_alpha| over the grid after ``sweeps`` sweeps.
     Moments that vanish identically on the field (exact zeros; cancellations
     or symmetries) are flagged degenerate and carry measured = nan.  A slope
-    needs two distinct tau values; fewer raise ValueError.
+    needs two distinct tau values, each positive and finite, and at least one
+    sweep; anything else raises ValueError.
     """
     taus = np.asarray(sorted(taus), dtype=float)
+    if not np.all((taus > 0.0) & (taus < math.inf)):     # NaN fails the test
+        raise ValueError(f"every tau must be positive and finite, got {taus.tolist()}")
     if np.unique(taus).size < 2:
         raise ValueError(f"an exponent fit needs at least two distinct tau values, "
                          f"got {taus.tolist()}")
+    if sweeps < 1:
+        raise ValueError(f"need at least one sweep, got {sweeps}")
     sample = field.sample(grid_n)
     norms = []
     for tau in taus:

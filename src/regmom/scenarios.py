@@ -9,10 +9,12 @@ dimensions):
     shock at Mach M0 (gamma = 5/3), variable-hard-sphere relaxation time, run
     to a steady profile.
 
-Both solvers read a scenario onto their mesh through ``sample`` and take
-its far fields from ``far_field_frames``, which reject a gas neither solver
-represents.  For both, ``integrate`` applies a scenario's stop rule and
-``check_positive`` tests a step's state; either step raises SolverBreakdown.
+A scenario speaks (rho, u_1, theta), and its far fields close the mesh ends;
+a scenario without them is periodic.  Both solvers read a scenario onto their
+mesh through ``sample`` and take its far fields from ``far_field_frames``,
+which reject a gas neither solver represents.  For both, ``integrate`` applies
+a scenario's stop rule and ``check_positive`` tests a step's state; either
+step raises SolverBreakdown.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ class TauModel:
 
 @dataclass
 class Scenario:
-    """Initial fields, domain, boundary, stop rule and physical parameters of a run."""
+    """Initial fields, domain, far fields, stop rule and physical parameters of a run."""
 
     name: str
     dim: int
@@ -64,60 +66,57 @@ class Scenario:
     x_lo: float
     x_hi: float
     rho0: Callable[[np.ndarray], np.ndarray]
-    u0: Callable[[np.ndarray], np.ndarray]      # (n,) -> (n, dim)
+    u0: Callable[[np.ndarray], np.ndarray]      # u_1; the transverse velocity is 0
     theta0: Callable[[np.ndarray], np.ndarray]
-    boundary: str = "farfield"                  # or "periodic"
     t_stop: float | None = None
     steady_tol: float | None = None             # L1 density residual per unit time
     t_max: float = 400.0
     default_cells: int = 200
-    far_fields: tuple | None = None             # ((rho,u vec,theta), (rho,u vec,theta))
+    far_fields: tuple | None = None     # ((rho, u vec, theta) x 2); None: periodic
 
     def __post_init__(self):
-        if self.boundary not in ("farfield", "periodic"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
-        if self.boundary == "farfield" and self.far_fields is None:
-            raise ValueError("far-field boundary needs far-field states")
         if not self.kn >= 0.0:      # NaN fails the test; Kn = 0 and inf pass
             raise ValueError(f"Kn must be >= 0, got {self.kn}")
 
 
-def _check_field(rho, u, theta, where: str) -> None:
-    """ValueError unless u_2 = u_3 = 0 and rho, theta > 0: all either solver represents."""
-    if np.any(u[..., 1:]):
-        raise ValueError(f"both solvers need zero transverse velocity; {where} has some")
+def _check_field(rho, theta, where: str) -> None:
+    """ValueError unless rho, theta > 0: the only gas either solver represents."""
     if not (np.min(rho) > 0.0 and np.min(theta) > 0.0):     # NaN fails both
         raise ValueError(f"both solvers need rho > 0 and theta > 0; {where} has not")
 
 
 def far_field_frames(scenario: Scenario):
     """The far fields as ((rho, u_1, theta) left, (rho, u_1, theta) right), or
-    None on a periodic mesh.  Raises ValueError as ``_check_field`` does."""
-    if scenario.boundary == "periodic":
+    None on a periodic mesh.  ValueError for a transverse velocity or as ``_check_field``."""
+    if scenario.far_fields is None:
         return None
     out = []
     for side, (rho, u, theta) in zip(("left", "right"), scenario.far_fields):
         u = np.asarray(u, dtype=float).reshape(-1)
-        _check_field(rho, u, theta, f"the {side} far field")
+        if np.any(u[1:]):
+            raise ValueError("both solvers need zero transverse velocity; "
+                             f"the {side} far field has some")
+        _check_field(rho, theta, f"the {side} far field")
         out.append((float(rho), float(u[0]), float(theta)))
     return tuple(out)
 
 
 def sample(scenario: Scenario, n_cells: int):
     """The scenario on a uniform mesh of ``n_cells`` cells: cell centres x,
-    width dx and the initial rho (n,), u (n, D) and theta (n,).
+    width dx and the initial rho, u_1 and theta, each (n,).
 
-    Raises ValueError for an initial field or a far field as ``_check_field`` does.
+    Raises ValueError for an initial field without one value per cell, and for
+    an initial field or a far field as ``far_field_frames`` does.
     """
     dx = (scenario.x_hi - scenario.x_lo) / n_cells
     x = scenario.x_lo + (np.arange(n_cells) + 0.5) * dx
-    rho = np.asarray(scenario.rho0(x), dtype=float)
-    # a copy: the moment step writes u_1 into it
-    u = np.array(scenario.u0(x), dtype=float).reshape(n_cells, scenario.dim)
-    theta = np.asarray(scenario.theta0(x), dtype=float)
-    _check_field(rho, u, theta, "the initial field")
+    rho, u1, theta = (np.asarray(f(x), dtype=float)
+                      for f in (scenario.rho0, scenario.u0, scenario.theta0))
+    if not rho.shape == u1.shape == theta.shape == x.shape:
+        raise ValueError(f"rho0, u0 and theta0 must each give one value per cell {x.shape}")
+    _check_field(rho, theta, "the initial field")
     far_field_frames(scenario)
-    return x, dx, rho, u, theta
+    return x, dx, rho, u1, theta
 
 
 class SolverBreakdown(RuntimeError):
@@ -184,24 +183,24 @@ def integrate(state, cfg, advance: Callable[[float], float],
     return state
 
 
+def _riemann(left, right, dim: int, **fields) -> Scenario:
+    """A scenario that jumps at x = 0 from ``left`` to ``right``, each
+    (rho, u_1, theta), with those two states as its far fields."""
+    def jump(j):
+        return lambda x: np.where(np.asarray(x) < 0.0, left[j], right[j])
+
+    # velocity vectors of length dim; their transverse zeros are never -0.0
+    far = tuple((rho, np.concatenate(([u1], np.zeros(dim - 1))), theta)
+                for rho, u1, theta in (left, right))
+    return Scenario(dim=dim, rho0=jump(0), u0=jump(1), theta0=jump(2),
+                    far_fields=far, **fields)
+
+
 def shock_tube(kn: float = 0.02, dim: int = 3) -> Scenario:
     """Density 7 -> 1, pressure 7 -> 1 (theta = 1 both sides), gas at rest."""
-
-    def rho0(x):
-        return np.where(x < 0.0, 7.0, 1.0)
-
-    def u0(x):
-        return np.zeros((np.asarray(x).size, dim))
-
-    def theta0(x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    return Scenario(
-        name="shock-tube", dim=dim, kn=kn, tau_model=TauModel("kn-over-rho"),
-        x_lo=-1.0, x_hi=1.5, rho0=rho0, u0=u0, theta0=theta0,
-        t_stop=0.3, default_cells=200,
-        far_fields=((7.0, np.zeros(dim), 1.0), (1.0, np.zeros(dim), 1.0)),
-    )
+    return _riemann((7.0, 0.0, 1.0), (1.0, 0.0, 1.0), dim, name="shock-tube", kn=kn,
+                    tau_model=TauModel("kn-over-rho"), x_lo=-1.0, x_hi=1.5,
+                    t_stop=0.3, default_cells=200)
 
 
 def rankine_hugoniot_states(mach: float):
@@ -224,30 +223,9 @@ def shock_structure(mach: float, kn: float = 1.0, omega: float = 0.72,
                     dim: int = 3) -> Scenario:
     """Steady shock profile problem at Mach ``mach``; VHS relaxation time."""
     (rho_l, u_l, p_l), (rho_r, u_r, p_r) = rankine_hugoniot_states(mach)
-    th_l, th_r = p_l / rho_l, p_r / rho_r
-
-    def rho0(x):
-        return np.where(np.asarray(x) < 0.0, rho_l, rho_r)
-
-    def theta0(x):
-        return np.where(np.asarray(x) < 0.0, th_l, th_r)
-
-    def u0(x):
-        u = np.zeros((np.asarray(x).size, dim))
-        u[:, 0] = np.where(np.asarray(x) < 0.0, u_l, u_r)
-        return u
-
-    ul = np.zeros(dim)
-    ul[0] = u_l
-    ur = np.zeros(dim)
-    ur[0] = u_r
-    return Scenario(
-        name="shock-structure", dim=dim, kn=kn,
-        tau_model=TauModel("vhs", omega=omega),
-        x_lo=-30.0, x_hi=30.0, rho0=rho0, u0=u0, theta0=theta0,
-        t_stop=None, steady_tol=1e-6, t_max=400.0, default_cells=600,
-        far_fields=((rho_l, ul, th_l), (rho_r, ur, th_r)),
-    )
+    return _riemann((rho_l, u_l, p_l / rho_l), (rho_r, u_r, p_r / rho_r), dim,
+                    name="shock-structure", kn=kn, tau_model=TauModel("vhs", omega=omega),
+                    x_lo=-30.0, x_hi=30.0, steady_tol=1e-6, default_cells=600)
 
 
 BUILTIN_SCENARIOS = ("shock-tube", "shock-structure")
@@ -255,11 +233,12 @@ BUILTIN_SCENARIOS = ("shock-tube", "shock-structure")
 
 def make_scenario(name: str, kn: float | None = None, mach: float | None = None,
                   omega: float = 0.72, dim: int = 3) -> Scenario:
+    """A built-in scenario; without ``kn`` it takes the builtin's default Kn."""
+    given = {} if kn is None else {"kn": kn}
     if name == "shock-tube":
-        return shock_tube(kn=0.02 if kn is None else kn, dim=dim)
+        return shock_tube(dim=dim, **given)
     if name == "shock-structure":
         if mach is None:
             raise ValueError("shock-structure needs a Mach number")
-        return shock_structure(mach, kn=1.0 if kn is None else kn,
-                               omega=omega, dim=dim)
+        return shock_structure(mach, omega=omega, dim=dim, **given)
     raise ValueError(f"unknown scenario {name!r}; built-ins: {BUILTIN_SCENARIOS}")

@@ -206,7 +206,9 @@ def make_state(scenario: Scenario, cfg: SolverConfig) -> SimState:
         raise ValueError("the moment solver's top-order diffusion needs a finite Kn, "
                          f"got {scenario.kn}")
     layout = AxisymmetricLayout(cfg.order, scenario.dim)
-    x, dx, rho, u, theta = sample(scenario, cfg.n_cells)
+    x, dx, rho, u1, theta = sample(scenario, cfg.n_cells)
+    u = np.zeros((cfg.n_cells, scenario.dim))
+    u[:, 0] = u1
     coeffs = np.zeros(layout.shape + (cfg.n_cells,))
     coeffs[0, 0] = rho
     state = SimState(scenario=scenario, layout=layout, top=TopOrderClosure(layout),
@@ -333,7 +335,7 @@ def _regularize(state: SimState, cfg: SolverConfig, dt: float, coeffs) -> None:
     upper = -g * kappa_f[1:]
     diag = 1.0 + g * (kappa_f[:-1] + kappa_f[1:])
     rhs = coeffs[top_a, top_k]
-    if sc.boundary == "periodic":
+    if scr.periodic:
         # ghost faces coincide: corner couplings close each ring
         sol = _solve_cyclic_tridiag(lower, diag, upper, lower[:, 0], upper[:, -1], rhs)
     else:
@@ -373,9 +375,10 @@ def _face_fluxes(lay: AxisymmetricLayout, scr: _Scratch):
 
 def _relax(g: np.ndarray, dt: float, tau: np.ndarray) -> None:
     """Relax over ``dt``: scale every coefficient of grade a + 2k >= 2 by
-    exp(-dt/tau) per cell (0 at tau = 0, the equilibrium limit), in contiguous
-    blocks: the rows a >= 2 whole, then k >= 1 of rows 0 and 1."""
-    with np.errstate(divide="ignore"):
+    exp(-dt/tau) per cell (0 at a zero or subnormal tau, the equilibrium
+    limit), in contiguous blocks: the rows a >= 2 whole, then k >= 1 of rows
+    0 and 1."""
+    with np.errstate(divide="ignore", over="ignore"):
         decay = np.exp(-dt / tau)
     g[2:] *= decay
     g[0, 1:] *= decay

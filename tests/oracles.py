@@ -450,9 +450,7 @@ def periodic_scenario(dim=3, amp=0.2):
         return 1.0 + amp * np.sin(x)
 
     def u0(x):
-        u = np.zeros((np.asarray(x).size, dim))
-        u[:, 0] = 0.1 * np.sin(x + 0.4)
-        return u
+        return 0.1 * np.sin(x + 0.4)
 
     def theta0(x):
         return 1.0 + 0.1 * np.cos(x + 0.9)
@@ -460,7 +458,7 @@ def periodic_scenario(dim=3, amp=0.2):
     return Scenario(name="periodic", dim=dim, kn=0.05,
                     tau_model=TauModel("kn-over-rho"), x_lo=0.0,
                     x_hi=2.0 * math.pi, rho0=rho0, u0=u0, theta0=theta0,
-                    boundary="periodic", t_stop=0.2, default_cells=64)
+                    t_stop=0.2, default_cells=64)
 
 
 def conserved_totals(state) -> np.ndarray:
@@ -558,7 +556,7 @@ def flux_form_step(state, cfg, grid, ghosts=None, dt_limit: float | None = None,
     if dt_limit is not None:
         dt = min(dt, dt_limit)
     sc = state.scenario
-    periodic = sc.boundary == "periodic"
+    periodic = sc.far_fields is None
     if not periodic and ghosts is None:
         raise ValueError("far-field boundary needs ghost distributions")
     if scratch is None:
@@ -607,7 +605,7 @@ def _sides(x):
 def _extend(scenario: Scenario, rho, u1, theta, coeffs):
     """State arrays with one ghost cell on each side (coeffs: cells last, or
     None, which comes back as None)."""
-    if scenario.boundary == "periodic":
+    if scenario.far_fields is None:
         ring = np.arange(-1, rho.size + 1) % rho.size
         return rho[ring], u1[ring], theta[ring], None if coeffs is None else coeffs[..., ring]
     (rl, ul, tl), (rr, ur, tr) = scenario.far_fields

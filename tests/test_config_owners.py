@@ -1,9 +1,9 @@
 """Each run setting has one owner.
 
-The Scenario holds the physics, the domain, the boundary and the far fields;
-the solvers' configs hold only numerics.  The stop rule (t_stop, steady_tol,
-t_max) is the one overlap: a config starts from the scenario's rule and a
-caller may tighten or relax it for one run.
+The Scenario holds the physics, the domain and the far fields, whose absence
+makes the mesh periodic; the solvers' configs hold only numerics.  The stop
+rule (t_stop, steady_tol, t_max) is the one overlap: a config starts from the
+scenario's rule and a caller may tighten or relax it for one run.
 """
 from dataclasses import fields
 

@@ -83,7 +83,7 @@ def test_hermite_roots_interlace_and_speed():
     # the moment solver bounds its wavespeeds at order M by |u1| + c sqrt(theta),
     # c the largest root of He_{M+1}; the step is dt = cfl dx / bound
     sc = shock_tube(kn=0.5)
-    sc.u0 = lambda x: np.zeros((np.asarray(x).size, 3)) + np.array([-1.0, 0.0, 0.0])
+    sc.u0 = lambda x: np.full_like(np.asarray(x, float), -1.0)
     sc.theta0 = lambda x: np.full_like(np.asarray(x, float), 4.0)
     cfg = SolverConfig.from_scenario(sc, order=3, n_cells=20)
     state = make_state(sc, cfg)

@@ -391,6 +391,10 @@ def _cli_warnings_as_errors(argv, tmp_path):
     ["make-ref", "--nv", "2"],
     ["make-ref", "--scenario", "shock-structure", "--mach", "9", "--vmax", "4"],
     ["make-ref", "--nv", "3", "--vmax", "100", "--cells", "8"],
+    ["make-ref", "--vmax", "inf", "--cells", "8", "--nv", "10"],
+    ["magnitude", "--tau-start", "-0.01", "--mmax", "4", "--report-order", "4"],
+    ["magnitude", "--sweeps", "0", "--mmax", "4", "--report-order", "4"],
+    ["magnitude", "--sweeps", "-1", "--mmax", "4", "--report-order", "4"],
 ], ids=" ".join)
 def test_cli_rejects_unusable_settings_before_any_step(argv, tmp_path):
     # rejected at setup: none may reach a step, warn, or leave a path behind
@@ -402,11 +406,15 @@ def test_cli_rejects_unusable_settings_before_any_step(argv, tmp_path):
     assert not list(tmp_path.rglob("*"))
 
 
-@pytest.mark.parametrize("argv", [["run", "--kn", "0", "--cells", "16"],
-                                  ["make-ref", "--kn", "0", "--cells", "16", "--nv", "40"]],
-                         ids=" ".join)
+@pytest.mark.parametrize("argv", [
+    ["run", "--kn", "0", "--cells", "16"],
+    ["make-ref", "--kn", "0", "--cells", "16", "--nv", "40"],
+    ["run", "--kn", "1e-320", "--cells", "16"],
+    ["make-ref", "--kn", "1e-320", "--cells", "16", "--nv", "40"],
+], ids=" ".join)
 def test_cli_runs_kn_zero_without_warnings(argv, tmp_path):
-    # Kn = 0 is the equilibrium limit tau = 0, which both solvers accept
+    # Kn = 0 is the equilibrium limit tau = 0, which both solvers accept; at a
+    # subnormal Kn, dt / tau overflows to inf and the factor is exp(-inf) = 0 too
     proc = _cli_warnings_as_errors(argv, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from regmom.scenarios import (GAMMA_MONATOMIC, TauModel, make_scenario,
-                              rankine_hugoniot_states, shock_structure, shock_tube)
+from regmom.scenarios import (GAMMA_MONATOMIC, TauModel, far_field_frames, make_scenario,
+                              rankine_hugoniot_states, sample, shock_structure,
+                              shock_tube)
 
 from oracles import normalize_density
 
@@ -154,9 +156,40 @@ def test_normalize_density():
         normalize_density(prof, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("make", [shock_tube, lambda dim: shock_structure(2.0, dim=dim)],
+                         ids=["shock-tube", "shock-structure"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_builtin_far_fields_are_the_initial_states(make, dim):
+    # a builtin states its two (rho, u_1, theta) once: the initial field jumps
+    # between its far fields, whose velocity vectors have D entries, the
+    # transverse ones +0.0
+    sc = make(dim=dim)
+    x = np.array([sc.x_lo, sc.x_hi])
+    for j, (rho, u, theta) in enumerate(sc.far_fields):
+        assert (sc.rho0(x)[j], sc.u0(x)[j], sc.theta0(x)[j]) == (rho, u[0], theta)
+        assert u.shape == (dim,) and not np.signbit(u[1:]).any() and not u[1:].any()
+    assert far_field_frames(sc) == tuple((r, u[0], t) for r, u, t in sc.far_fields)
+    assert far_field_frames(replace(sc, far_fields=None)) is None     # periodic
+
+
+def test_sample_gives_u1_and_rejects_a_field_without_one_value_per_cell():
+    sc = shock_structure(2.0)
+    x, dx, rho, u1, theta = sample(sc, 10)
+    assert rho.shape == u1.shape == theta.shape == x.shape == (10,)
+    assert u1[0] == sc.far_fields[0][1][0] and u1[-1] == sc.far_fields[1][1][0]
+    # u0 gives u_1 alone: a velocity vector per cell is not a field
+    sc.u0 = lambda x: np.zeros((np.asarray(x).size, sc.dim))
+    with pytest.raises(ValueError, match="one value per cell"):
+        sample(sc, 10)
+
+
 def test_make_scenario_names():
     assert make_scenario("shock-tube").name == "shock-tube"
     assert make_scenario("shock-structure", mach=2.0).name == "shock-structure"
+    # without a Kn, each builtin's own default
+    assert make_scenario("shock-tube").kn == shock_tube().kn
+    assert make_scenario("shock-structure", mach=2.0).kn == shock_structure(2.0).kn
+    assert make_scenario("shock-tube", kn=0.3).kn == 0.3
     with pytest.raises(ValueError):
         make_scenario("shock-structure")  # needs a Mach number
     with pytest.raises(ValueError):
