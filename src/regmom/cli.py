@@ -2,40 +2,42 @@
 
 Exit codes: 0 success, 1 breakdown of either solver, 2 usage or configuration
 error; a steady search that reaches t_max exits 0 and reports it unconverged.
+`run` and `make-ref` write one run record each, as strict JSON.
 A flat ``key = value`` config file can preset any flag; explicit flags win.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import dvm, iteration, output, scenarios, solver
 
 
-@dataclass
-class RunManifest:
-    """Everything that determines a run; runs are deterministic (no RNG)."""
-
-    scenario: str
-    kn: float
-    mach: float | None
-    order: int
-    dim: int
-    n_cells: int
-    cfl: float
-    closure: str
-    tau: str
-    omega: float
-    deterministic: bool = True
-
-
 def _scenario_from_args(args) -> scenarios.Scenario:
-    return scenarios.make_scenario(args.scenario, kn=args.kn, mach=args.mach,
-                                   omega=args.omega, dim=args.dim)
+    """The scenario the flags name, with `run`'s --tau model when it is given."""
+    scenario = scenarios.make_scenario(args.scenario, kn=args.kn, mach=args.mach,
+                                       omega=args.omega, dim=args.dim)
+    if getattr(args, "tau", None) is None:
+        return scenario
+    return replace(scenario, tau_model=scenarios.TauModel(args.tau, omega=args.omega))
+
+
+def _write_record(path: Path, scenario: scenarios.Scenario, mach: float | None, cfg,
+                  state, wall_time_s: float, breakdown: str | None = None, **extra):
+    """The run record of `run` and `make-ref`, as strict JSON: the scenario and
+    config that ran, what the run did, then the command's own ``extra`` fields."""
+    physics = {"name": scenario.name, "dim": scenario.dim,
+               "kn": "inf" if scenario.kn == math.inf else scenario.kn, "mach": mach,
+               "tau": scenario.tau_model.kind, "omega": scenario.tau_model.omega}
+    record = {"scenario": physics, "config": asdict(cfg), "breakdown": breakdown,
+              "t": state.t, "steps": state.steps, "residual": state.residual,
+              "converged": state.converged, "wall_time_s": wall_time_s, **extra}
+    path.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
 
 
 def parse_config(path) -> dict[str, str]:
@@ -84,41 +86,30 @@ def _coerce(parser, dest, text):
 
 def cmd_run(args) -> int:
     scenario = _scenario_from_args(args)
-    if args.tau is not None:
-        scenario = replace(scenario,
-                           tau_model=scenarios.TauModel(args.tau, omega=args.omega))
     cfg = solver.SolverConfig.from_scenario(
         scenario, order=args.order, n_cells=args.cells, cfl=args.cfl,
         closure=args.closure)
     state = solver.make_state(scenario, cfg)
-    manifest = RunManifest(
-        scenario=args.scenario, kn=scenario.kn, mach=args.mach, order=args.order,
-        dim=args.dim, n_cells=cfg.n_cells, cfl=args.cfl, closure=args.closure,
-        tau=scenario.tau_model.kind, omega=args.omega)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
+
+    def write_summary(breakdown=None):
+        dt_history = None if state.steps == 0 else {
+            "min": state.dt_min, "max": state.dt_max, "last": state.last_dt}
+        _write_record(out / "summary.json", scenario, args.mach, cfg, state,
+                      time.perf_counter() - t0, breakdown,
+                      dt_history=dt_history, max_speed=state.max_speed)
+
     try:
         solver.run(state, cfg)
     except scenarios.SolverBreakdown as exc:
-        print(f"breakdown: {exc}", file=sys.stderr)
-        summary = {"manifest": asdict(manifest), "breakdown": str(exc),
-                   "t": state.t, "steps": state.steps}
-        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        return 1
-    wall = time.perf_counter() - t0
+        write_summary(str(exc))
+        raise
+    write_summary()
     if not state.converged:
         _warn_not_converged(state.residual, cfg.steady_tol, state.t)
     output.write_snapshot(out / "final.csv", state, dump_coeffs=args.dump_coeffs)
-    summary = {
-        "manifest": asdict(manifest), "breakdown": None,
-        "t": state.t, "steps": state.steps,
-        "dt_history": {"min": state.dt_min, "max": state.dt_max,
-                       "last": state.last_dt, "steps": state.steps},
-        "max_speed": state.max_speed, "residual": state.residual,
-        "converged": state.converged, "wall_time_s": wall,
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out / 'final.csv'} (t = {state.t:.6g}, {state.steps} steps)")
     return 0
 
@@ -128,11 +119,9 @@ def cmd_make_ref(args) -> int:
     cfg = dvm.DVMConfig.from_scenario(scenario, n_cells=args.cells, n_v=args.nv,
                                       v_max=args.vmax, cfl=args.cfl)
     refdir = Path(args.out)
-    tag = f"{args.scenario}_kn{scenario.kn:g}"
-    if args.mach is not None:
-        tag += f"_m{args.mach:g}"
-    tag += (f"_D{scenario.dim}_nx{cfg.n_cells}_nv{cfg.n_v}_vmax{cfg.v_max:g}"
-            f"_cfl{cfg.cfl:g}_w{scenario.tau_model.omega:g}")
+    mach = "" if args.mach is None else f"_m{args.mach:g}"
+    tag = (f"{args.scenario}_kn{scenario.kn:g}{mach}_D{scenario.dim}_nx{cfg.n_cells}"
+           f"_nv{cfg.n_v}_vmax{cfg.v_max:g}_cfl{cfg.cfl:g}_w{scenario.tau_model.omega:g}")
     path = refdir / f"dvm_{tag}.csv"
     record_path = path.with_suffix(".json")
     if path.exists() and not args.force:
@@ -145,17 +134,12 @@ def cmd_make_ref(args) -> int:
         return 0
     t0 = time.perf_counter()
     state, grid = dvm.dvm_run(scenario, cfg)
-    physics = {"dim": scenario.dim, "kn": scenario.kn, "tau": scenario.tau_model.kind,
-               "omega": scenario.tau_model.omega, "mach": args.mach}
-    record = {"scenario": physics, "config": asdict(cfg), "t": state.t,
-              "steps": state.steps, "residual": state.residual,
-              "converged": state.converged, "blocks": state.blocks,
-              "wall_time_s": time.perf_counter() - t0}
+    wall = time.perf_counter() - t0
     if not state.converged:
         _warn_not_converged(state.residual, cfg.steady_tol, state.t)
     refdir.mkdir(parents=True, exist_ok=True)
     output.write_columns(path, dvm.dvm_moments(state, grid))
-    record_path.write_text(json.dumps(record, indent=2) + "\n")
+    _write_record(record_path, scenario, args.mach, cfg, state, wall, blocks=state.blocks)
     print(f"wrote {path} (t = {state.t:.6g}, {state.steps} steps)")
     return 0
 

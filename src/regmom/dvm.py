@@ -126,17 +126,15 @@ class DVMState:
 MOMENT_RTOL = 1e-10
 
 
-def discrete_maxwellian(grid: VelocityGrid, rho, u1, theta, dim: int = 1,
-                        weight=1.0, out: np.ndarray | None = None,
-                        work: np.ndarray | None = None):
-    """Reduced nodal Maxwellians corrected to the exact discrete moments.
+def discrete_maxwellian(grid: VelocityGrid, rho, u1, theta, weight=1.0,
+                        out: np.ndarray | None = None, work: np.ndarray | None = None):
+    """Reduced nodal Maxwellians g_M corrected to the exact discrete moments.
 
-    Returns ``(g_M, h_M, miss)`` with h_M = (D - 1) theta g_M, or None for
-    ``dim`` 1; g_M itself does not depend on D.  ``miss`` is the first row
-    whose factor misses any of the three moments by more than MOMENT_RTOL
-    relative to rho (u1^2 + theta)^(k/2), or None: the velocity grid is too
-    coarse or too narrow for that row.  rho and theta must be positive.
-    Per cell:
+    Returns ``(g_M, miss)``; g_M does not depend on D, and the callers form
+    h_M = (D - 1) theta g_M from it.  ``miss`` is the first row whose factor
+    misses any of the three moments by more than MOMENT_RTOL relative to
+    rho (u1^2 + theta)^(k/2), or None: the velocity grid is too coarse or too
+    narrow for that row.  rho and theta must be positive.  Per cell:
 
     * the exponent -(v - u1)^2 / (2 theta) is one (n, 3) x (3, n_v) product
       of [-u1^2 / (2 theta), u1 / theta, -1 / (2 theta)] with [1, v, v^2],
@@ -190,9 +188,7 @@ def discrete_maxwellian(grid: VelocityGrid, rho, u1, theta, dim: int = 1,
     scale = rho * weight / grid.dv
     gm = np.matmul(np.stack([a * scale, b * scale, gamma * scale], axis=1), quad, out=out)
     gm *= gauss
-    if dim == 1:
-        return gm, None, miss
-    return gm, (dim - 1) * theta[:, None] * gm, miss
+    return gm, miss
 
 
 def _conserved(g, h, dim: int, grid: VelocityGrid):
@@ -230,12 +226,13 @@ def make_dvm_state(scenario: Scenario, cfg: DVMConfig, grid: VelocityGrid) -> DV
     rows; raises ValueError when the velocity grid cannot represent one of them."""
     x, dx, rho, u1, theta = sample(scenario, cfg.n_cells)
 
-    def maxwellian(where, *frame):
-        g, h, miss = discrete_maxwellian(grid, *frame, scenario.dim)
+    def maxwellian(where, rho, u1, theta):
+        g, miss = discrete_maxwellian(grid, rho, u1, theta)
         if miss is not None:
             raise ValueError(f"{cfg.n_v} velocity nodes on [-{cfg.v_max:g}, {cfg.v_max:g}] "
                              f"cannot represent {where}; widen --vmax or add nodes with --nv")
-        return g, h
+        dim = scenario.dim
+        return g, None if dim == 1 else (dim - 1) * np.reshape(theta, (-1, 1)) * g
 
     g, h = maxwellian("the initial field", rho, u1, theta)
     far = far_field_frames(scenario)
@@ -321,8 +318,8 @@ def _advance(state: DVMState, blk: _Scratch, grid: VelocityGrid, dt: float, nu_v
     tau = np.asarray(sc.tau_model.tau(sc.kn, rho, theta))
     with np.errstate(divide="ignore", over="ignore"):   # tau = 0 or subnormal: exp(-inf) = 0
         decay = np.exp(-dt / tau)
-    gm, _, miss = discrete_maxwellian(grid, rho, u1, theta, weight=1.0 - decay,
-                                      out=blk.gm, work=blk.diff[:-1])
+    gm, miss = discrete_maxwellian(grid, rho, u1, theta, weight=1.0 - decay,
+                                   out=blk.gm, work=blk.diff[:-1])
     if miss is not None:
         return 1, SolverBreakdown(
             f"{grid.v.size} velocity nodes on [-{grid.v_max:g}, {grid.v_max:g}] cannot "

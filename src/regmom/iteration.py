@@ -76,7 +76,7 @@ class FieldSample:
 
 @dataclass
 class IterationState:
-    """Sweep counter plus all coefficients on the grid.
+    """All coefficients of one sweep on the grid.
 
     ``coeffs[x, a_1, ..., a_D]`` holds f_alpha at grid point x, dense with
     trailing shape (order+1,)^D; entries with |alpha| > order stay zero, so
@@ -87,7 +87,6 @@ class IterationState:
     coeffs: np.ndarray
     grades: np.ndarray
     order: int
-    n: int
 
 
 def maxwellian_iteration_state(sample: FieldSample, max_order: int = 10) -> IterationState:
@@ -97,8 +96,7 @@ def maxwellian_iteration_state(sample: FieldSample, max_order: int = 10) -> Iter
     shape = (max_order + 1,) * sample.dim
     coeffs = np.zeros((sample.x.size,) + shape)
     coeffs[(slice(None),) + (0,) * sample.dim] = sample.rho
-    return IterationState(coeffs=coeffs, grades=sum(np.indices(shape)),
-                          order=max_order, n=0)
+    return IterationState(coeffs=coeffs, grades=sum(np.indices(shape)), order=max_order)
 
 
 def _sigma_q1(f: np.ndarray, dim: int):
@@ -180,8 +178,7 @@ def iterate_once(state: IterationState, sample: FieldSample, tau: float,
     # f_0 and f_{e_j} never appear on the left of the iteration.
     low = state.grades < 2
     new[:, low] = f[:, low]
-    return IterationState(coeffs=new, grades=state.grades, order=state.order,
-                          n=state.n + 1)
+    return IterationState(coeffs=new, grades=state.grades, order=state.order)
 
 
 def run_iteration(sample: FieldSample, tau: float, sweeps: int,

@@ -16,8 +16,6 @@ import numpy as np
 
 from .state import sigma11_q1
 
-SNAPSHOT_COLUMNS = ("x", "rho", "u1", "theta", "sigma11", "q1")
-
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")

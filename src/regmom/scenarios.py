@@ -1,13 +1,13 @@
 """Benchmark problem setups and relaxation-time models.
 
-Two built-in Riemann problems for a monatomic gas (D = 3 velocity
-dimensions):
+Two built-in Riemann problems for a monatomic gas of D velocity dimensions
+(D = 3 by default):
 
   * shock-tube: density/pressure jump 7:1 at rest, resolved to t = 0.3
     with tau = Kn / rho;
   * shock-structure: upstream/downstream Rankine-Hugoniot states of a steady
-    shock at Mach M0 (gamma = 5/3), variable-hard-sphere relaxation time, run
-    to a steady profile.
+    shock at Mach M0 (gamma = (D + 2) / D), variable-hard-sphere relaxation
+    time, run to a steady profile.
 
 A scenario speaks (rho, u_1, theta), and its far fields close the mesh ends;
 a scenario without them is periodic.  Both solvers read a scenario onto their
@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-GAMMA_MONATOMIC = 5.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -203,26 +201,27 @@ def shock_tube(kn: float = 0.02, dim: int = 3) -> Scenario:
                     t_stop=0.3, default_cells=200)
 
 
-def rankine_hugoniot_states(mach: float):
-    """Upstream/downstream equilibrium states of a steady gamma=5/3 shock.
+def rankine_hugoniot_states(mach: float, dim: int = 3):
+    """Upstream/downstream equilibrium states of a steady shock in a gas of
+    ``dim`` velocity dimensions, gamma = (D + 2) / D.
 
     Returns ((rho, u1, p) left, (rho, u1, p) right); both carry the same mass,
     momentum and energy fluxes, so the shock is stationary.
     """
     if not 1.0 < mach < math.inf:      # NaN fails the test
         raise ValueError(f"shock Mach number must be finite and exceed 1, got {mach}")
-    s = math.sqrt(GAMMA_MONATOMIC)
+    s = math.sqrt((dim + 2) / dim)
     left = (1.0, s * mach, 1.0)
-    right = (4.0 * mach**2 / (mach**2 + 3.0),
-             s * (mach**2 + 3.0) / (4.0 * mach),
-             (5.0 * mach**2 - 1.0) / 4.0)
+    right = ((dim + 1) * mach**2 / (mach**2 + dim),
+             s * (mach**2 + dim) / ((dim + 1) * mach),
+             ((dim + 2) * mach**2 - 1.0) / (dim + 1))
     return left, right
 
 
 def shock_structure(mach: float, kn: float = 1.0, omega: float = 0.72,
                     dim: int = 3) -> Scenario:
     """Steady shock profile problem at Mach ``mach``; VHS relaxation time."""
-    (rho_l, u_l, p_l), (rho_r, u_r, p_r) = rankine_hugoniot_states(mach)
+    (rho_l, u_l, p_l), (rho_r, u_r, p_r) = rankine_hugoniot_states(mach, dim)
     return _riemann((rho_l, u_l, p_l / rho_l), (rho_r, u_r, p_r / rho_r), dim,
                     name="shock-structure", kn=kn, tau_model=TauModel("vhs", omega=omega),
                     x_lo=-30.0, x_hi=30.0, steady_tol=1e-6, default_cells=600)
@@ -233,9 +232,12 @@ BUILTIN_SCENARIOS = ("shock-tube", "shock-structure")
 
 def make_scenario(name: str, kn: float | None = None, mach: float | None = None,
                   omega: float = 0.72, dim: int = 3) -> Scenario:
-    """A built-in scenario; without ``kn`` it takes the builtin's default Kn."""
+    """A built-in scenario; without ``kn`` it takes the builtin's default Kn.
+    Only shock-structure takes a Mach number, and it needs one."""
     given = {} if kn is None else {"kn": kn}
     if name == "shock-tube":
+        if mach is not None:
+            raise ValueError("shock-tube takes no Mach number")
         return shock_tube(dim=dim, **given)
     if name == "shock-structure":
         if mach is None:

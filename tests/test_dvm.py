@@ -27,6 +27,13 @@ def totals(state: DVMState, grid: VelocityGrid) -> np.ndarray:
     return np.array([state.g.sum(), (state.g @ v).sum(), energy]) * grid.dv * state.dx
 
 
+def maxwellians(grid, rho, u1, theta, dim):
+    """(g_M, h_M, miss) of ``discrete_maxwellian``'s g_M, with the transverse
+    h_M = (D - 1) theta g_M of a gas of ``dim`` velocity dimensions (None for 1)."""
+    g, miss = discrete_maxwellian(grid, rho, u1, theta)
+    return g, None if dim == 1 else (dim - 1) * np.reshape(theta, (-1, 1)) * g, miss
+
+
 def periodic(dim=3, kn=0.1):
     """The physics of a state made by hand: a periodic shock-tube gas."""
     return replace(shock_tube(kn=kn, dim=dim), far_fields=None)
@@ -46,7 +53,7 @@ def test_corrected_maxwellian_moments_exact(dim):
     rho = np.array([7.0, 1.0, 2.5])
     u1 = np.array([0.0, 0.4, -0.6])
     theta = np.array([1.0, 1.3, 0.7])
-    g, h, miss = discrete_maxwellian(grid, rho, u1, theta, dim)
+    g, h, miss = maxwellians(grid, rho, u1, theta, dim)
     assert miss is None
     state = DVMState(scenario=periodic(dim), x=np.zeros(3), dx=1.0, g=g, h=h)
     mom = dvm_moments(state, grid)
@@ -60,8 +67,7 @@ def test_corrected_maxwellian_moments_exact(dim):
 
 def test_discrete_maxwellian_stress_heat_vanish():
     grid = VelocityGrid.make(160, 12.0)
-    g, h, _ = discrete_maxwellian(grid, np.array([2.0]), np.array([0.3]),
-                                  np.array([1.4]), 3)
+    g, h, _ = maxwellians(grid, np.array([2.0]), np.array([0.3]), np.array([1.4]), 3)
     state = DVMState(scenario=periodic(3), x=np.zeros(1), dx=1.0, g=g, h=h)
     mom = dvm_moments(state, grid)
     assert abs(mom["sigma11"][0]) < 1e-8
@@ -73,7 +79,7 @@ def test_discrete_maxwellian_rejects_under_resolved(theta):
     # 200 nodes on [-12, 12] are 0.12 apart: a gas this cold sits on one
     # node, and no quadratic factor restores its moments
     grid = VelocityGrid.make(200, 12.0)
-    assert discrete_maxwellian(grid, [1.0, 1.0], [0.0, 0.05], [1.0, theta])[2] == 1
+    assert discrete_maxwellian(grid, [1.0, 1.0], [0.0, 0.05], [1.0, theta])[1] == 1
 
 
 def test_step_names_cell_and_time_of_an_unresolvable_maxwellian():
@@ -158,7 +164,7 @@ def test_state_carries_ghost_rows_exactly_when_far_field():
     grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
     state = make_dvm_state(sc, cfg, grid)
     for j, (rho, u, theta) in enumerate(sc.far_fields):
-        g, h, _ = discrete_maxwellian(grid, rho, u[0], theta, sc.dim)
+        g, h, _ = maxwellians(grid, rho, u[0], theta, sc.dim)
         assert np.array_equal(state.ghosts[:, j], np.stack([g[0], h[0]]))
     with pytest.raises(ValueError, match="ghost rows"):
         replace(state, ghosts=None)
@@ -216,7 +222,7 @@ def test_periodic_mass_conserved_per_step():
     grid = VelocityGrid.make(nv, 10.0)
     x = np.linspace(0.0, 1.0, n, endpoint=False)
     rho = 1.0 + 0.3 * np.sin(2 * math.pi * x)
-    g, h, _ = discrete_maxwellian(grid, rho, 0.2 * np.ones(n), np.ones(n), 3)
+    g, h, _ = maxwellians(grid, rho, 0.2 * np.ones(n), np.ones(n), 3)
     state = DVMState(scenario=periodic(3), x=x, dx=1.0 / n, g=g, h=h)
     cfg = DVMConfig(n_cells=n, n_v=nv, v_max=10.0)
     m0 = totals(state, grid)[0]
@@ -239,7 +245,7 @@ def test_relaxation_conserves_all_three_moments():
     theta = 1.0 + 0.2 * np.sin(4 * math.pi * x)
     cfg = DVMConfig(n_cells=n, n_v=nv, v_max=10.0)
     for dim in (1, 2, 3):
-        g, h, _ = discrete_maxwellian(grid, rho, u1, theta, dim)
+        g, h, _ = maxwellians(grid, rho, u1, theta, dim)
         g *= 1.0 + 0.05 * np.sin(grid.v)
         if h is not None:
             h *= 1.0 - 0.03 * np.cos(grid.v)
@@ -262,7 +268,7 @@ def test_step_at_kn_zero_lands_on_the_discrete_maxwellian():
     state = make_dvm_state(sc, cfg, grid)
     dvm_step(state, cfg, grid)
     mom = dvm_moments(state, grid)
-    g_m, h_m, miss = discrete_maxwellian(grid, mom["rho"], mom["u1"], mom["theta"], sc.dim)
+    g_m, h_m, miss = maxwellians(grid, mom["rho"], mom["u1"], mom["theta"], sc.dim)
     assert miss is None
     assert np.abs(state.g - g_m).max() <= 1e-13 * np.abs(g_m).max()
     assert np.abs(state.h - h_m).max() <= 1e-13 * np.abs(h_m).max()
@@ -348,7 +354,7 @@ def cold_and_nan(n=32, nv=40, cold=None, nan=()):
     the next, and the v > 0 nodes of the ``nan`` rows are NaN, which upwind
     transport carries to the right neighbour only."""
     grid = VelocityGrid.make(nv, 10.0)
-    g, _, _ = discrete_maxwellian(grid, np.ones(n), np.zeros(n), np.ones(n))
+    g, _ = discrete_maxwellian(grid, np.ones(n), np.zeros(n), np.ones(n))
     if cold is not None:
         g[cold] = 0.0
         g[cold, 20], g[cold, 21] = (1.0 - 1e-6) / grid.dv, 1e-6 / grid.dv

@@ -151,7 +151,7 @@ def test_cli_run_writes_outputs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["breakdown"] is None
     assert summary["converged"] is True
-    assert summary["manifest"]["n_cells"] == 32
+    assert summary["config"]["n_cells"] == 32
     assert summary["t"] == pytest.approx(0.3)
 
 
@@ -168,11 +168,11 @@ def test_cli_run_default_tau_is_the_scenario_model(monkeypatch, tmp_path):
     args = ["run", "--scenario", "shock-structure", "--mach", "2", "--cells", "16"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
-    assert used == ["vhs"] and summary["manifest"]["tau"] == "vhs"
+    assert used == ["vhs"] and summary["scenario"]["tau"] == "vhs"
     # an explicit flag still replaces the scenario's model
     assert main(args + ["--tau", "kn-over-rho", "--out", str(tmp_path / "b")]) == 0
     summary = json.loads((tmp_path / "b" / "summary.json").read_text())
-    assert used[-1] == "kn-over-rho" and summary["manifest"]["tau"] == "kn-over-rho"
+    assert used[-1] == "kn-over-rho" and summary["scenario"]["tau"] == "kn-over-rho"
 
 
 def test_cli_reports_unconverged_steady_search(monkeypatch, tmp_path, capsys):
@@ -214,16 +214,53 @@ def _reject_constant(name):
 
 
 def test_cli_run_records_are_strict_json(tmp_path):
-    # t_stop runs measure no steady residual: the records say null, not Infinity
+    # t_stop runs measure no steady residual: the records say null, not
+    # Infinity; a free-flight reference spells its Kn as the flag does
     assert main(["run", "--scenario", "shock-tube", "--cells", "16",
                  "--out", str(tmp_path / "o")]) == 0
-    assert main(["make-ref", "--scenario", "shock-tube", "--kn", "0.3", "--cells", "16",
-                 "--nv", "40", "--out", str(tmp_path / "refs")]) == 0
+    for kn in ("0.3", "inf"):
+        assert main(["make-ref", "--scenario", "shock-tube", "--kn", kn, "--cells", "16",
+                     "--nv", "40", "--out", str(tmp_path / "refs")]) == 0
     paths = [tmp_path / "o" / "summary.json", *(tmp_path / "refs").glob("dvm_*.json")]
-    assert len(paths) == 2
-    for path in paths:
-        record = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert len(paths) == 3
+    records = [json.loads(p.read_text(), parse_constant=_reject_constant) for p in paths]
+    for record in records:
         assert record["residual"] is None and record["converged"] is True
+    assert sorted(str(r["scenario"]["kn"]) for r in records[1:]) == ["0.3", "inf"]
+
+
+def test_cli_run_and_make_ref_write_one_record(monkeypatch, tmp_path, capsys):
+    import regmom.cli as cli
+    from regmom.solver import SolverBreakdown
+
+    args = ["--scenario", "shock-tube", "--kn", "0.3", "--cells", "16"]
+    assert main(["run", *args, "--out", str(tmp_path / "o")]) == 0
+    assert main(["make-ref", *args, "--nv", "40", "--out", str(tmp_path / "refs")]) == 0
+
+    def explode(state, cfg):
+        raise SolverBreakdown("negative density or temperature", 17, 0.125)
+
+    monkeypatch.setattr(cli.solver, "run", explode)
+    assert main(["run", *args, "--out", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err.count("breakdown:") == 1
+    run, ref, broken = (json.loads(p.read_text()) for p in (
+        tmp_path / "o" / "summary.json", next((tmp_path / "refs").glob("dvm_*.json")),
+        tmp_path / "b" / "summary.json"))
+    assert set(run) - set(ref) == {"dt_history", "max_speed"}
+    assert set(ref) - set(run) == {"blocks"}
+    assert set(run) == set(broken)
+    assert set(run) & set(ref) == {"scenario", "config", "breakdown", "t", "steps",
+                                   "residual", "converged", "wall_time_s"}
+    # the scenario and config that ran, the stop rule included
+    for record in (run, ref, broken):
+        assert record["scenario"] == {"name": "shock-tube", "dim": 3, "kn": 0.3,
+                                      "mach": None, "tau": "kn-over-rho", "omega": 0.72}
+        assert (record["config"]["t_stop"], record["config"]["steady_tol"],
+                record["config"]["t_max"]) == (0.3, None, 400.0)
+    assert run["breakdown"] is None and ref["breakdown"] is None
+    assert "cell 17" in broken["breakdown"] and broken["steps"] == 0
+    assert broken["dt_history"] is None
+    assert set(run["dt_history"]) == {"min", "max", "last"}
 
 
 def test_cli_coefficient_dump(tmp_path):
@@ -268,14 +305,14 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     out1 = tmp_path / "c1"
     assert main(["run", "--config", str(cfgfile), "--out", str(out1)]) == 0
     s1 = json.loads((out1 / "summary.json").read_text())
-    assert s1["manifest"]["n_cells"] == 16
-    assert s1["manifest"]["kn"] == 0.05
+    assert s1["config"]["n_cells"] == 16
+    assert s1["scenario"]["kn"] == 0.05
     # an explicit flag overrides the config value
     out2 = tmp_path / "c2"
     assert main(["run", "--config", str(cfgfile), "--cells", "8",
                  "--out", str(out2)]) == 0
     s2 = json.loads((out2 / "summary.json").read_text())
-    assert s2["manifest"]["n_cells"] == 8
+    assert s2["config"]["n_cells"] == 8
 
 
 def test_cli_config_rejects_unknown_keys(tmp_path):
@@ -388,6 +425,7 @@ def _cli_warnings_as_errors(argv, tmp_path):
     ["run", "--scenario", "shock-structure", "--mach", "2", "--omega", "3.5"],
     ["make-ref", "--scenario", "shock-structure", "--mach", "2", "--omega", "nan"],
     ["run", "--kn", "inf"],
+    ["make-ref", "--mach", "2"],
     ["make-ref", "--nv", "2"],
     ["make-ref", "--scenario", "shock-structure", "--mach", "9", "--vmax", "4"],
     ["make-ref", "--nv", "3", "--vmax", "100", "--cells", "8"],

@@ -4,16 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from regmom.scenarios import (GAMMA_MONATOMIC, TauModel, far_field_frames, make_scenario,
+from regmom.scenarios import (TauModel, far_field_frames, make_scenario,
                               rankine_hugoniot_states, sample, shock_structure,
                               shock_tube)
 
 from oracles import normalize_density
 
 
-def euler_fluxes(rho, u, p):
-    """(mass, momentum, energy) fluxes of a gamma = 5/3 equilibrium stream."""
-    e = 0.5 * rho * u**2 + p / (GAMMA_MONATOMIC - 1.0)
+def euler_fluxes(rho, u, p, dim=3):
+    """(mass, momentum, energy) fluxes of an equilibrium stream of a gas of
+    ``dim`` velocity dimensions, whose internal energy is D p / 2."""
+    e = 0.5 * rho * u**2 + 0.5 * dim * p
     return np.array([rho * u, rho * u**2 + p, u * (e + p)])
 
 
@@ -55,10 +56,12 @@ def test_rankine_hugoniot_degenerates_at_mach_one():
 
 @pytest.mark.parametrize("mach", [1.55, 2.05, 3.8, 9.0])
 def test_rankine_hugoniot_euler_fluxes_match(mach):
-    left, right = rankine_hugoniot_states(mach)
-    fl = euler_fluxes(*left)
-    fr = euler_fluxes(*right)
-    assert np.abs(fl - fr).max() < 1e-12 * np.abs(fl).max()
+    # gamma = (D + 2) / D: each flux balances across the shock in every D
+    for dim in (1, 2, 3):
+        left, right = rankine_hugoniot_states(mach, dim)
+        fl = euler_fluxes(*left, dim)
+        fr = euler_fluxes(*right, dim)
+        assert np.all(np.abs(fl - fr) <= 1e-13 * np.abs(fl)), dim
 
 
 def test_shock_structure_rejects_subsonic():
@@ -106,6 +109,16 @@ def test_shock_structure_scenario_fields():
     (rho_l, u_l, p_l), (rho_r, u_r, p_r) = rankine_hugoniot_states(2.05)
     assert rho[0] == pytest.approx(rho_l) and rho[1] == pytest.approx(rho_r)
     assert th[0] == pytest.approx(p_l / rho_l) and th[1] == pytest.approx(p_r / rho_r)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_shock_structure_far_fields_are_the_shock_of_its_dimension(dim):
+    # the far fields of a D-dimensional gas carry equal Euler fluxes
+    sc = shock_structure(3.0, dim=dim)
+    states = rankine_hugoniot_states(3.0, dim)
+    assert far_field_frames(sc) == tuple((r, u, p / r) for r, u, p in states)
+    fl, fr = (euler_fluxes(r, u, r * t, dim) for r, u, t in far_field_frames(sc))
+    assert np.all(np.abs(fl - fr) <= 1e-13 * np.abs(fl))
 
 
 def test_tau_kn_over_rho():
@@ -192,6 +205,8 @@ def test_make_scenario_names():
     assert make_scenario("shock-tube", kn=0.3).kn == 0.3
     with pytest.raises(ValueError):
         make_scenario("shock-structure")  # needs a Mach number
+    with pytest.raises(ValueError, match="no Mach"):
+        make_scenario("shock-tube", mach=2.0)  # would ignore it
     with pytest.raises(ValueError):
         make_scenario("nope")
 
