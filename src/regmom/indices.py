@@ -59,7 +59,7 @@ class AxisymmetricLayout:
     is zero where the grade a + 2k exceeds the order, and keeps the cell (or
     any other batch) axes last and contiguous, so every shift in a or k is an
     array slice that runs along all cells at once.  (top_a, top_k) are the
-    entries of grade ``order``.
+    entries of grade ``order``; ``ladder`` is a + 1 for a < order.
     """
 
     def __init__(self, order: int, dim: int):
@@ -72,6 +72,13 @@ class AxisymmetricLayout:
         self.mask = (self.grades <= order).astype(float)
         self.top_k = np.arange(self.shape[1])
         self.top_a = order - 2 * self.top_k
+        self.ladder = np.arange(1.0, order + 1)
+
+    def zero_corner(self, g: np.ndarray) -> np.ndarray:
+        """Zero the corner a + 2k > order of g (M+1, K, ...) in place."""
+        for k in range(1, self.shape[1]):
+            g[self.top_a[k] + 1:, k] = 0.0
+        return g
 
 
 def lead(v: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -6,6 +6,9 @@ times the transport terms evaluated on the previous sweep, while density,
 velocity and temperature stay fixed.  On steady manufactured fields the time
 derivatives of the coefficients vanish, and du/dt, dtheta/dt follow from the
 conservation laws with the current sweep's pressure tensor and heat flux.
+A sweep is the dense array f[x, a_1, ..., a_D] of f_alpha at grid point x,
+trailing shape (M+1,)^D and zero where |alpha| > M, so every shift
+alpha +- m e_d is an array slice; its order M is f.shape[1] - 1.
 
 Each sweep reveals one more power of tau: the order-of-magnitude law says
 f_alpha = O(tau^ceil(|alpha|/3)) once enough sweeps have run, with support
@@ -74,29 +77,19 @@ class FieldSample:
     theta_x: np.ndarray
 
 
-@dataclass
-class IterationState:
-    """All coefficients of one sweep on the grid.
-
-    ``coeffs[x, a_1, ..., a_D]`` holds f_alpha at grid point x, dense with
-    trailing shape (order+1,)^D; entries with |alpha| > order stay zero, so
-    every shift alpha +- m e_d is an array slice.  ``grades`` is |alpha| per
-    entry.
-    """
-
-    coeffs: np.ndarray
-    grades: np.ndarray
-    order: int
+def grades(f: np.ndarray) -> np.ndarray:
+    """|alpha| per entry of a sweep f[x, a_1, ..., a_D]."""
+    return sum(np.indices(f.shape[1:]))
 
 
-def maxwellian_iteration_state(sample: FieldSample, max_order: int = 10) -> IterationState:
+def maxwellian_iteration_state(sample: FieldSample, max_order: int = 10) -> np.ndarray:
+    """The local equilibrium f_0 = rho as a sweep of order ``max_order``."""
     if max_order < 3:
         raise ValueError(f"the iteration needs max_order >= 3 (stress and heat "
                          f"flux), got {max_order}")
-    shape = (max_order + 1,) * sample.dim
-    coeffs = np.zeros((sample.x.size,) + shape)
-    coeffs[(slice(None),) + (0,) * sample.dim] = sample.rho
-    return IterationState(coeffs=coeffs, grades=sum(np.indices(shape)), order=max_order)
+    f = np.zeros((sample.x.size,) + (max_order + 1,) * sample.dim)
+    f[(slice(None),) + (0,) * sample.dim] = sample.rho
+    return f
 
 
 def _sigma_q1(f: np.ndarray, dim: int):
@@ -115,18 +108,18 @@ def _sigma_q1(f: np.ndarray, dim: int):
     return sig, q
 
 
-def time_derivative_fields(state: IterationState, sample: FieldSample, fx: np.ndarray):
-    """du/dt and dtheta/dt from the conservation laws on the current sweep.
+def time_derivative_fields(f: np.ndarray, sample: FieldSample, fx: np.ndarray):
+    """du/dt and dtheta/dt from the conservation laws on the sweep f.
 
     The material derivatives are closed with the sweep's own pressure tensor
-    and heat flux (spatial variation along x_1 only); ``fx`` is the x-derivative
-    of ``state.coeffs``.  Freezing these fields makes the sweep map linear in
-    the coefficients.
+    and heat flux (spatial variation along x_1 only); ``fx`` is the
+    x-derivative of ``f``.  Freezing these fields makes the sweep map linear
+    in the coefficients.
     """
     D = sample.dim
     rho, theta = sample.rho, sample.theta
     u1 = sample.u[:, 0]
-    sig, _ = _sigma_q1(state.coeffs, D)
+    sig, _ = _sigma_q1(f, D)
     sig_x, q1_x = _sigma_q1(fx, D)
     p_x = sample.rho_x * theta + rho * sample.theta_x
     dudt = np.empty_like(sample.u)
@@ -139,24 +132,18 @@ def time_derivative_fields(state: IterationState, sample: FieldSample, fx: np.nd
     return dudt, dthdt
 
 
-def iterate_once(state: IterationState, sample: FieldSample, tau: float,
-                 materials=None) -> IterationState:
-    """One sweep of the fixed-point map f_alpha <- -tau G_alpha(previous).
-
-    ``materials`` overrides the (du/dt, dtheta/dt) fields; by default they
-    come from the current sweep via ``time_derivative_fields``.
-    """
+def iterate_once(f: np.ndarray, sample: FieldSample, tau: float) -> np.ndarray:
+    """One sweep of the fixed-point map f_alpha <- -tau G_alpha(previous),
+    with (du/dt, dtheta/dt) from ``time_derivative_fields`` of f."""
     D = sample.dim
-    f = state.coeffs
     fx = fd4(f, sample.dx)
 
     def col(v):
         return v.reshape((-1,) + (1,) * D)
 
     theta, u1 = col(sample.theta), col(sample.u[:, 0])
-    a1p1 = np.arange(1.0, state.order + 2.0).reshape((-1,) + (1,) * (D - 1))
-    dudt, dthdt = (time_derivative_fields(state, sample, fx)
-                   if materials is None else materials)
+    a1p1 = np.arange(1.0, f.shape[1] + 1.0).reshape((-1,) + (1,) * (D - 1))
+    dudt, dthdt = time_derivative_fields(f, sample, fx)
 
     def at(arr, d=0, m=0, m1=0):
         """arr at alpha + m e_d + m1 e_1."""
@@ -174,19 +161,19 @@ def iterate_once(state: IterationState, sample: FieldSample, tau: float,
                                           + a1p1 * at(f, d, -2, 1))
 
     new = -tau * G
-    new *= state.grades <= state.order
+    g = grades(f)
+    new *= g <= f.shape[1] - 1
     # f_0 and f_{e_j} never appear on the left of the iteration.
-    low = state.grades < 2
-    new[:, low] = f[:, low]
-    return IterationState(coeffs=new, grades=state.grades, order=state.order)
+    new[:, g < 2] = f[:, g < 2]
+    return new
 
 
 def run_iteration(sample: FieldSample, tau: float, sweeps: int,
-                  max_order: int = 10) -> IterationState:
-    state = maxwellian_iteration_state(sample, max_order)
+                  max_order: int = 10) -> np.ndarray:
+    f = maxwellian_iteration_state(sample, max_order)
     for _ in range(sweeps):
-        state = iterate_once(state, sample, tau)
-    return state
+        f = iterate_once(f, sample, tau)
+    return f
 
 
 def predicted_exponent(alpha: tuple[int, ...]) -> int | None:
@@ -237,8 +224,8 @@ def magnitude_table(field: ManufacturedField, taus: Sequence[float],
     sample = field.sample(grid_n)
     norms = []
     for tau in taus:
-        state = run_iteration(sample, float(tau), sweeps, max_order)
-        norms.append(np.abs(state.coeffs).max(axis=0))
+        f = run_iteration(sample, float(tau), sweeps, max_order)
+        norms.append(np.abs(f).max(axis=0))
     norms = np.array(norms)  # (ntau, M+1, ..., M+1)
     top = max_order if report_order is None else report_order
     rows = []

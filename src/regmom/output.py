@@ -17,19 +17,11 @@ import numpy as np
 from .state import sigma11_q1
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_columns(path, columns: dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    data = [np.asarray(columns[c], dtype=float) for c in names]
-    n = data[0].shape[0]
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(n):
-            writer.writerow([_fmt(col[i]) for col in data])
+    """Named columns as CSV with CRLF line ends, as the csv module writes them."""
+    data = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", newline="\r\n",
+               header=",".join(columns), comments="", encoding="ascii")
 
 
 def snapshot_columns(state, dump_coeffs: bool = False) -> dict[str, np.ndarray]:
@@ -74,10 +66,12 @@ class ComparisonReport:
 
 
 def _center_offset(x: np.ndarray, y: np.ndarray, level: float = 0.5) -> float:
-    """x where the monotone-trend profile crosses ``level`` (interpolated)."""
-    lo, hi = y[0], y[-1]
-    t = (y - lo) / (hi - lo)
-    k = int(np.argmax(t >= level)) if hi > lo else int(np.argmax(t <= level))
+    """x where the monotone-trend profile crosses ``level`` (interpolated).
+
+    t = (y - y_0)/(y_end - y_0) runs from 0 to 1 whether y rises or falls.
+    """
+    t = (y - y[0]) / (y[-1] - y[0])
+    k = int(np.argmax(t >= level))
     if k == 0:
         return float(x[0])
     t0, t1 = t[k - 1], t[k]

@@ -230,10 +230,9 @@ def flux_coefficients(layout: AxisymmetricLayout, g: np.ndarray, u1, theta,
     w = (np.empty(g.shape) if work is None else work)[:-1]
     np.multiply(np.asarray(theta, dtype=float), g[:-1], out=w)
     F[1:] += w
-    np.multiply(lead(np.arange(1.0, layout.order + 1), g), g[1:], out=w)
+    np.multiply(lead(layout.ladder, g), g[1:], out=w)
     F[:-1] += w
-    F *= lead(layout.mask, g)
-    return F
+    return layout.zero_corner(F)
 
 
 @functools.cache

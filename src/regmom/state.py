@@ -109,9 +109,7 @@ def project_coeffs(layout: AxisymmetricLayout, g: np.ndarray, du1, dtheta,
                 acc = dst[a, k]
                 for l in range(1, k + 1):
                     acc += np.multiply(c[l - 1], dst[a, k - l], out=prod)
-        for k in range(1, n_k):
-            out[layout.top_a[k] + 1:, k] = 0.0
-    return out
+    return layout.zero_corner(out)
 
 
 def _trace(layout: AxisymmetricLayout, g: np.ndarray) -> np.ndarray:

@@ -146,9 +146,9 @@ def nsf_check(field: ManufacturedField, tau: float, sweeps: int = 2,
     deviation must shrink by ~4 under tau halving.
     """
     sample = field.sample(grid_n)
-    state = run_iteration(sample, tau, sweeps, max_order)
+    f = run_iteration(sample, tau, sweeps, max_order)
     D = field.dim
-    sig, q1 = _sigma_q1(state.coeffs, D)
+    sig, q1 = _sigma_q1(f, D)
     mu = tau * sample.rho * sample.theta
     sig_ref = np.empty_like(sig)
     for i in range(D):

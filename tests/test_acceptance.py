@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from regmom.dvm import DVMConfig, dvm_moments, dvm_run
-from regmom.iteration import field_preset, magnitude_table, run_iteration
+from regmom.iteration import field_preset, grades, magnitude_table, run_iteration
 from regmom.output import compare_profiles, write_snapshot
 from regmom.scenarios import shock_structure, shock_tube
 from regmom.solver import SolverConfig, make_state, run
@@ -100,7 +100,7 @@ def test_criterion_2_first_iteration_closed_forms():
     field = field_preset("generic-3d")
     sample = field.sample(64)
     tau = 0.01
-    state = run_iteration(sample, tau, 1, max_order=6)
+    f = run_iteration(sample, tau, 1, max_order=6)
     D = 3
     rho, th = sample.rho, sample.theta
     divu = sample.u_x[:, 0]
@@ -109,7 +109,7 @@ def test_criterion_2_first_iteration_closed_forms():
 
     def update(alpha, ref):
         nonlocal worst
-        got = state.coeffs[(slice(None),) + alpha]
+        got = f[(slice(None),) + alpha]
         worst = max(worst, float(np.abs(got - ref).max()) / scale)
 
     for j in range(D):
@@ -124,8 +124,8 @@ def test_criterion_2_first_iteration_closed_forms():
         for j in range(D):
             update(tuple(2 * (d == i) + (d == j) for d in range(D)),
                    -0.5 * tau * rho * th * sample.theta_x * (j == 0))
-    mixed_zero = bool(np.all(state.coeffs[:, 1, 1, 1] == 0.0))
-    high_zero = bool(np.all(state.coeffs[:, state.grades >= 4] == 0.0))
+    mixed_zero = bool(np.all(f[:, 1, 1, 1] == 0.0))
+    high_zero = bool(np.all(f[:, grades(f) >= 4] == 0.0))
     wall = time.perf_counter() - t0
     report("2 first-iteration", worst <= 1e-8 and mixed_zero and high_zero,
            f"max rel err {worst:.2e}, mixed-triple zero={mixed_zero}, "
@@ -162,8 +162,8 @@ def test_criterion_3_magnitude_law():
     sample = field.sample(64)
     support_ok = True
     for n in (1, 2, 3):
-        st = run_iteration(sample, 0.01, n, max_order=10)
-        support_ok &= bool(np.all(st.coeffs[:, st.grades >= 1 + 3 * n] == 0.0))
+        f = run_iteration(sample, 0.01, n, max_order=10)
+        support_ok &= bool(np.all(f[:, grades(f) >= 1 + 3 * n] == 0.0))
     wall = time.perf_counter() - t0
     report("3 magnitude-law", lower_ok and sharp_ok and pinned_ok and support_ok,
            f"bound={lower_ok}, sharp per order={dict(sharp_orders)}, "

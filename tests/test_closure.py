@@ -176,9 +176,9 @@ def first_sweep_stress_heat(u, u_x, theta, theta_x, tau, rho=1.3):
         dim=3, rho=lambda x: np.full_like(x, rho), rho_x=zero,
         u=u, u_x=u_x, theta=theta, theta_x=theta_x)
     sample = field.sample(32)
-    state = run_iteration(sample, tau, 1, max_order=4)
-    sig, q1 = _sigma_q1(state.coeffs, 3)
-    return sample, state.coeffs, sig, q1
+    f = run_iteration(sample, tau, 1, max_order=4)
+    sig, q1 = _sigma_q1(f, 3)
+    return sample, f, sig, q1
 
 
 def test_nsf_limits_uniform_theta_gives_zero_heat_flux():

@@ -72,6 +72,17 @@ def test_compare_normalize_and_align():
     assert aligned.linf < 0.02 < raw.linf
 
 
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["falling", "rising"])
+def test_compare_align_center_aligns_either_direction(sign):
+    # the same tanh step centred at 1.3 and at -0.4: u1 falls across every
+    # shock structure, so a falling profile must be aligned as a rising one
+    xa, xb = np.linspace(-5.0, 5.0, 101), np.linspace(-5.0, 5.0, 201)
+    ya = 0.5 * (1.0 + sign * np.tanh(xa - 1.3))
+    yb = 0.5 * (1.0 + sign * np.tanh(xb + 0.4))
+    rep = compare_profiles(xa, ya, xb, yb, column="u1", align_center=True)
+    assert rep.linf < 1e-3
+
+
 @pytest.mark.parametrize("flat", ["a", "b"])
 def test_compare_normalize_rejects_a_flat_profile(flat):
     # equal end values leave nothing to map to 0 and 1: not a NaN report

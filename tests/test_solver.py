@@ -70,6 +70,9 @@ def test_flux_conserved_components_match_quadrature(seed):
         enforce_constraints(lay, g, mac.rho)
         F = flux_coefficients(lay, g, mac.u[0], mac.theta)
         assert np.all(F[lay.mask == 0.0] == 0.0)
+        # a nonzero corner a + 2k > M in g still gives a zero corner in F
+        F_c = flux_coefficients(lay, g + (1.0 - lay.mask), mac.u[0], mac.theta)
+        assert np.all(F_c[lay.mask == 0.0] == 0.0)
         full, f = expand_full(lay, g)
         e1 = tuple(int(j == 0) for j in range(dim))
         assert F[0, 0] == pytest.approx(raw_moment(full, f, mac, e1), abs=1e-10)
