@@ -211,8 +211,12 @@ def magnitude_table(field: ManufacturedField, taus: Sequence[float],
     Moments that vanish identically on the field (exact zeros; cancellations
     or symmetries) are flagged degenerate and carry measured = nan.  A slope
     needs two distinct tau values, each positive and finite, and at least one
-    sweep; anything else raises ValueError.
+    sweep, and ``report_order`` lies in [2, max_order]; anything else raises
+    ValueError, as does a tau so large that its sweeps overflow.
     """
+    top = max_order if report_order is None else report_order
+    if not 2 <= top <= max_order:
+        raise ValueError(f"the report order must lie in [2, {max_order}], got {top}")
     taus = np.asarray(sorted(taus), dtype=float)
     if not np.all((taus > 0.0) & (taus < math.inf)):     # NaN fails the test
         raise ValueError(f"every tau must be positive and finite, got {taus.tolist()}")
@@ -224,10 +228,12 @@ def magnitude_table(field: ManufacturedField, taus: Sequence[float],
     sample = field.sample(grid_n)
     norms = []
     for tau in taus:
-        f = run_iteration(sample, float(tau), sweeps, max_order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = run_iteration(sample, float(tau), sweeps, max_order)
+        if not np.isfinite(f).all():
+            raise ValueError(f"the sweeps at tau = {tau:g} are not finite")
         norms.append(np.abs(f).max(axis=0))
     norms = np.array(norms)  # (ntau, M+1, ..., M+1)
-    top = max_order if report_order is None else report_order
     rows = []
     for alpha in enumerate_indices(max_order, field.dim):
         pred = predicted_exponent(alpha)

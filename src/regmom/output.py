@@ -97,7 +97,8 @@ def _nested_restriction(xa, xb, yb):
 
 
 def compare_profiles(xa, ya, xb, yb, column: str = "value",
-                     normalize: bool = False, align_center: bool = False) -> ComparisonReport:
+                     normalize: bool = False, align_center: bool = False,
+                     names=("a", "b")) -> ComparisonReport:
     """Error norms of profile a against reference profile b.
 
     When b lives on an aligned integer refinement of a's grid it is restricted
@@ -106,12 +107,19 @@ def compare_profiles(xa, ya, xb, yb, column: str = "value",
     their end values go to 0 and 1; ``align_center`` shifts each x-axis so the
     half-level crossing sits at the origin before comparing (steady shocks are
     translation-invariant).  Both read the level from the end values, and
-    raise ValueError for a profile whose two end values are equal.
+    raise ValueError for a profile whose two end values are equal.  A
+    non-finite x or value raises ValueError naming the profile (``names``,
+    the files of ``compare_files``) and the column.
     """
     xa = np.asarray(xa, dtype=float)
     ya = np.asarray(ya, dtype=float)
     xb = np.asarray(xb, dtype=float)
     yb = np.asarray(yb, dtype=float)
+    for name, x, y in zip(names, (xa, xb), (ya, yb)):
+        for col, values in (("x", x), (column, y)):
+            if not np.isfinite(values).all():
+                row = int(np.argmin(np.isfinite(values)))
+                raise ValueError(f"{name}: column {col!r} is not finite at row {row}")
     if normalize or align_center:
         for y in (ya, yb):
             if y[-1] == y[0]:
@@ -154,4 +162,5 @@ def compare_files(path_a, path_b, column: str, normalize: bool = False,
         if column not in data or "x" not in data:
             raise ValueError(f"{path} has no column {column!r} (columns: {list(data)})")
     return compare_profiles(a["x"], a[column], b["x"], b[column], column=column,
-                            normalize=normalize, align_center=align_center)
+                            normalize=normalize, align_center=align_center,
+                            names=(path_a, path_b))

@@ -49,7 +49,8 @@ value per cell or face.  One time step is a Lie splitting of three substeps:
 
 The time step is dt = CFL * dx / max wavespeed.  A step makes two projection
 calls, one flux call and one tridiagonal solve, and allocates no
-coefficient-sized array: the buffers live on the state (_Scratch).
+coefficient-sized array: the buffers live on the state (_Scratch), which
+``make_state`` builds with it.
 The step tests positivity once, after the conserved recovery of (a): a
 non-positive or NaN density or temperature raises SolverBreakdown with the
 offending cell and time; no limiter masks it.  A non-finite top-grade
@@ -69,8 +70,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial import hermite_e
 
-from .hermite import hermite_roots
 from .indices import AxisymmetricLayout, lead
 from .indices import pad_zero  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 from .closure import TopOrderClosure
@@ -110,9 +111,17 @@ class SolverConfig:
         return cls(**kw)
 
 
+def hermite_roots(n: int) -> np.ndarray:
+    """Roots of the probabilists' Hermite polynomial He_n, ascending: the
+    largest root of He_{M+1} bounds the characteristic speeds of the order-M
+    system in units of sqrt(theta)."""
+    return hermite_e.hermegauss(n)[0]
+
+
 class _Scratch:
-    """Every coefficient-sized array of a step, so that a warm step allocates
-    none: made on the state's first step (or regularization), kept on it.
+    """What a step needs beyond the state's fields, built with the state: the
+    closure offsets of the top grade, c_{M+1}, tau carried between steps, and
+    every coefficient-sized array of a step, so that no step allocates one.
 
     The mesh edges live in one ghost-extended buffer: the coefficients
     (M+1, K, n+2) and their frames (rho, u_1, theta) (3, n+2), with one
@@ -129,11 +138,12 @@ class _Scratch:
     buffer is free for the regularization's face averages.  So every large
     ufunc runs on contiguous arrays: numpy (2.4) passes a strided operand
     through its buffered iterator, with up to 192 KB of buffers per call and
-    several times the cost per value.  Beside these: c_{M+1}, the face flux,
-    the frames of the second call and tau of (rho, theta).
+    several times the cost per value.  Beside these: the face flux and the
+    frames of the second call.
     """
 
     def __init__(self, scenario: Scenario, layout: AxisymmetricLayout, n: int):
+        self.top = TopOrderClosure(layout)
         self.c_top = float(hermite_roots(layout.order + 1)[-1])
         sides_shape, rows_shape = layout.shape + (2, n + 1), layout.shape + (3, n)
         size = max(math.prod(sides_shape), math.prod(rows_shape))
@@ -181,7 +191,6 @@ class SimState:
 
     scenario: Scenario   # physics, domain and far fields of the run
     layout: AxisymmetricLayout
-    top: TopOrderClosure     # closure offsets of the layout's top grade
     x: np.ndarray
     dx: float
     rho: np.ndarray      # (n,)
@@ -196,8 +205,13 @@ class SimState:
     max_speed: float = 0.0
     residual: float | None = None   # measured only by a steady search
     converged: bool = False
-    boundary_account: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    scratch: _Scratch | None = field(default=None, repr=False)   # made on first use
+    # (mass, momenta, energy) that entered through the domain ends: D+2 totals
+    boundary_account: np.ndarray = field(init=False)
+    scratch: _Scratch = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.boundary_account = np.zeros(self.scenario.dim + 2)
+        self.scratch = _Scratch(self.scenario, self.layout, self.rho.size)
 
 
 def make_state(scenario: Scenario, cfg: SolverConfig) -> SimState:
@@ -211,10 +225,8 @@ def make_state(scenario: Scenario, cfg: SolverConfig) -> SimState:
     u[:, 0] = u1
     coeffs = np.zeros(layout.shape + (cfg.n_cells,))
     coeffs[0, 0] = rho
-    state = SimState(scenario=scenario, layout=layout, top=TopOrderClosure(layout),
-                     x=x, dx=dx, rho=rho, u=u, theta=theta, coeffs=coeffs)
-    state.boundary_account = np.zeros(scenario.dim + 2)
-    return state
+    return SimState(scenario=scenario, layout=layout, x=x, dx=dx, rho=rho, u=u,
+                    theta=theta, coeffs=coeffs)
 
 
 def flux_coefficients(layout: AxisymmetricLayout, g: np.ndarray, u1, theta,
@@ -309,9 +321,8 @@ def _regularize(state: SimState, cfg: SolverConfig, dt: float, coeffs) -> None:
     """Substep (b): apply the top-order closure as a flux on the grade a + 2k = M
     of ``coeffs``, in the state's frames: backward Euler on the linear closure's
     diffusion, after the nonlinear closure's other terms as an explicit flux."""
-    sc, layout, top, dx = state.scenario, state.layout, state.top, state.dx
-    top_a, top_k = layout.top_a, layout.top_k
-    scr = _scratch(state)
+    sc, layout, scr, dx = state.scenario, state.layout, state.scratch, state.dx
+    top, top_a, top_k = scr.top, layout.top_a, layout.top_k
     co_e, fr = scr.extend(coeffs, state.rho, state.u[:, 0], state.theta)
     rho_f, th_f = 0.5 * (fr[::2, :-1] + fr[::2, 1:])         # rows rho and theta
     tau_f = sc.tau_model.tau(sc.kn, rho_f, th_f)
@@ -384,19 +395,12 @@ def _relax(g: np.ndarray, dt: float, tau: np.ndarray) -> None:
     g[1, 1:] *= decay
 
 
-def _scratch(state: SimState) -> _Scratch:
-    """The state's step scratch, made on first use."""
-    if state.scratch is None:
-        state.scratch = _Scratch(state.scenario, state.layout, state.rho.size)
-    return state.scratch
-
-
 def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> float:
     """Advance the state by one time step in place; returns dt taken."""
     sc, lay, g = state.scenario, state.layout, state.coeffs
     dx = state.dx
     u1, theta = state.u[:, 0], state.theta
-    scr = _scratch(state)
+    scr = state.scratch
     rho0, theta0, tau = scr.tau
     if rho0 is not state.rho or theta0 is not theta:   # not the last step's result
         tau = np.asarray(sc.tau_model.tau(sc.kn, state.rho, theta), dtype=float)

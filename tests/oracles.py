@@ -33,11 +33,10 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from regmom.dvm import _conserved
-from regmom.hermite import hermite_roots
 from regmom.indices import AxisymmetricLayout, enumerate_indices, lead
 from regmom.iteration import ManufacturedField, _sigma_q1, run_iteration
 from regmom.scenarios import Scenario, TauModel, far_field_frames
-from regmom.solver import SolverBreakdown, _regularize, flux_coefficients
+from regmom.solver import SolverBreakdown, _regularize, flux_coefficients, hermite_roots
 from regmom.state import _trace, conserved_from_coeffs, macro_from_conserved, project_coeffs
 from regmom.state import enforce_constraints as pin_constraints
 

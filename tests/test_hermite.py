@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from regmom.hermite import hermite_roots
 from regmom.scenarios import shock_tube
-from regmom.solver import SolverConfig, make_state, step
+from regmom.solver import SolverConfig, hermite_roots, make_state, step
 
 from oracles import QuadratureRule, he_derivative, he_eval, he_table
 

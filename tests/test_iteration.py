@@ -249,6 +249,22 @@ def test_magnitude_csv_matches_ordinal_layout_golden(preset, tmp_path):
     assert out.read_bytes() == (DATA / f"magnitude_{preset}.csv").read_bytes()
 
 
+def test_isothermal_preset_flags_every_odd_third_index_degenerate(tmp_path):
+    # u_3 = 0 and a field that varies along x alone keep f even in xi_3: every
+    # moment with odd alpha_3 vanishes identically, and the others do not all
+    from regmom.cli import main
+
+    out = tmp_path / "mag.csv"
+    assert main(["magnitude", "--preset", "isothermal-3d", "--mmax", "6",
+                 "--report-order", "6", "--tau-count", "2", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    degenerate = {tuple(map(int, alpha.split())): flag == "1"
+                  for alpha, *_, flag in rows}
+    assert len(degenerate) == sum(2 <= sum(a) <= 6 for a in np.ndindex(7, 7, 7))
+    assert all(flag for alpha, flag in degenerate.items() if alpha[2] % 2)
+    assert not all(degenerate.values())
+
+
 def test_magnitude_table_needs_two_distinct_taus(generic_field):
     for taus in ([1e-2], [1e-2, 1e-2]):
         with pytest.raises(ValueError, match="two distinct tau"):

@@ -112,6 +112,22 @@ def test_compare_align_center_rejects_a_flat_profile(flat):
         compare_profiles(x, ya, x, yb, column="theta", align_center=True)
 
 
+@pytest.mark.parametrize("flags", [[], ["--normalize"], ["--align-center"]],
+                         ids=["plain", "normalize", "align-center"])
+def test_cli_compare_rejects_a_non_finite_value(flags, tmp_path, capsys):
+    # a NaN in the compared column is no "L1(rel) = nan" with exit 0, nor a
+    # center misplaced so far that the profiles seem not to overlap
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    x = np.linspace(0.0, 1.0, 9)
+    write_columns(good, {"x": x, "rho": 1.0 + x})
+    write_columns(bad, {"x": x, "rho": np.where(x == 0.5, np.nan, 1.0 + x)})
+    for files in ([good, bad], [bad, good]):
+        assert main(["compare", *map(str, files), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}: column 'rho' is not finite at row 4" in captured.err
+
+
 @pytest.mark.parametrize("text", ["", "x,rho\n"], ids=["empty", "header-only"])
 def test_cli_compare_file_without_data_rows_exit_code(text, tmp_path, capsys):
     bad, ok = tmp_path / "bad.csv", tmp_path / "ok.csv"
@@ -444,6 +460,10 @@ def _cli_warnings_as_errors(argv, tmp_path):
     ["magnitude", "--tau-start", "-0.01", "--mmax", "4", "--report-order", "4"],
     ["magnitude", "--sweeps", "0", "--mmax", "4", "--report-order", "4"],
     ["magnitude", "--sweeps", "-1", "--mmax", "4", "--report-order", "4"],
+    ["magnitude", "--tau-start", "1e300", "--mmax", "4", "--report-order", "4",
+     "--tau-count", "2"],
+    ["magnitude", "--report-order", "1"],
+    ["magnitude", "--report-order", "12", "--mmax", "4"],
 ], ids=" ".join)
 def test_cli_rejects_unusable_settings_before_any_step(argv, tmp_path):
     # rejected at setup: none may reach a step, warn, or leave a path behind

@@ -316,20 +316,23 @@ def test_step_makes_two_projections_and_one_flux_call(scenario, monkeypatch):
 
 
 def test_warm_step_allocates_no_coefficient_sized_array():
-    # every coefficient-sized array of a step lives on the state's scratch:
-    # once warm, a step of the M = 9 nonlinear tube peaks below two of them
+    # every coefficient-sized array of a step lives on the scratch that
+    # make_state builds: the first step of the M = 9 nonlinear tube, once
+    # gtsv is loaded (a once-per-process cost), and a warm one each peak
+    # below two of them
     sc = shock_tube(kn=0.5)
     cfg = SolverConfig.from_scenario(sc, order=9, n_cells=200, closure="nonlinear")
     state = make_state(sc, cfg)
-    for _ in range(3):
-        step(state, cfg)
-    tracemalloc.start()
-    try:
-        step(state, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * state.coeffs.nbytes
+    solver_module._gtsv()
+    peaks = []
+    for _ in range(4):
+        tracemalloc.start()
+        try:
+            step(state, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2 * state.coeffs.nbytes, peaks
 
 
 @pytest.mark.parametrize("boundary", ["farfield", "periodic"])
@@ -442,8 +445,8 @@ def test_explicit_and_implicit_diffusion_agree_when_nonstiff():
     rho_e, _, th_e, co_e = _extend(sc, state.rho, state.u[:, 0], state.theta, state.coeffs)
     th_f = 0.5 * (th_e[:-1] + th_e[1:])
     tau_f = sc.tau_model.tau(sc.kn, 0.5 * (rho_e[:-1] + rho_e[1:]), th_f)
-    flux = state.top.linear(th_f, tau_f, np.diff(co_e[top], axis=-1) / dx)
-    div = state.top.transport_factor[:, None] * np.diff(flux, axis=-1) / dx
+    flux = state.scratch.top.linear(th_f, tau_f, np.diff(co_e[top], axis=-1) / dx)
+    div = state.scratch.top.transport_factor[:, None] * np.diff(flux, axis=-1) / dx
     change = dt * np.abs(div).max()
     assert change > 1e-3 * np.abs(state.coeffs[top]).max()
     gaps = []
