@@ -19,12 +19,18 @@ from . import dvm, iteration, output, scenarios, solver
 
 
 def _scenario_from_args(args) -> scenarios.Scenario:
-    """The scenario the flags name, with `run`'s --tau model when it is given."""
+    """The scenario the flags name, with `run`'s --tau model when it is given.
+    ValueError for an --omega that its relaxation time does not read."""
+    given = {} if args.omega is None else {"omega": args.omega}
     scenario = scenarios.make_scenario(args.scenario, kn=args.kn, mach=args.mach,
-                                       omega=args.omega, dim=args.dim)
-    if getattr(args, "tau", None) is None:
-        return scenario
-    return replace(scenario, tau_model=scenarios.TauModel(args.tau, omega=args.omega))
+                                       dim=args.dim, **given)
+    if getattr(args, "tau", None) is not None:
+        omega = scenario.tau_model.omega if args.omega is None else args.omega
+        scenario = replace(scenario, tau_model=scenarios.TauModel(args.tau, omega=omega))
+    if given and scenario.tau_model.kind == "kn-over-rho":
+        raise ValueError(f"--omega {args.omega:g} is the VHS exponent, which the "
+                         "kn-over-rho relaxation time does not read")
+    return scenario
 
 
 def _write_record(path: Path, scenario: scenarios.Scenario, mach: float | None, cfg,
@@ -191,7 +197,8 @@ def build_parser():
         p.add_argument("--kn", type=float, default=None, help="Knudsen number")
         p.add_argument("--mach", type=float, default=None,
                        help="shock Mach number (shock-structure)")
-        p.add_argument("--omega", type=float, default=0.72, help="VHS exponent")
+        p.add_argument("--omega", type=float, default=None,
+                       help="VHS exponent (default: the scenario's)")
         p.add_argument("--D", dest="dim", type=int, default=3, choices=(1, 2, 3))
         p.add_argument("--cells", type=int, default=None)
         p.add_argument("--cfl", type=float, default=0.95)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenarios import (Scenario, SolverBreakdown, check_mesh, check_positive,
-                        far_field_frames, integrate, sample)
+                        check_stop, far_field_frames, integrate, sample)
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,7 @@ class DVMConfig:
 
     def __post_init__(self):
         check_mesh(self.n_cells, self.cfl)
+        check_stop(self.t_stop, self.steady_tol, self.t_max)
         if self.n_v < 3:    # the three-moment correction is singular on fewer
             raise ValueError(f"need at least three velocity nodes, got {self.n_v}")
         if not 0.0 < self.v_max < math.inf:     # NaN fails the test

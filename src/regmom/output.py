@@ -42,11 +42,22 @@ def write_snapshot(path, state, dump_coeffs: bool = False) -> None:
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
-    """Columns of a CSV file by header name; ValueError when it has no data rows."""
+    """Columns of a CSV file by header name.  ValueError when it has no data
+    rows, or naming the file and line of a row whose value count differs
+    from the header's or that holds a value that is not a number."""
+    rows = []
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
         names = next(reader, [])
-        rows = [[float(v) for v in row] for row in reader if row]
+        for row in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(names):
+                raise ValueError(f"{where}: {len(row)} values under {len(names)} "
+                                 "column names")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     if not rows:
         raise ValueError(f"{path} has no data rows")
     data = np.asarray(rows)

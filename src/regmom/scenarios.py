@@ -75,6 +75,9 @@ class Scenario:
     def __post_init__(self):
         if not self.kn >= 0.0:      # NaN fails the test; Kn = 0 and inf pass
             raise ValueError(f"Kn must be >= 0, got {self.kn}")
+        if not -math.inf < self.x_lo < self.x_hi < math.inf:     # NaN fails the test
+            raise ValueError("the domain needs finite bounds x_lo < x_hi, got "
+                             f"[{self.x_lo}, {self.x_hi}]")
 
 
 def _check_field(rho, theta, where: str) -> None:
@@ -141,6 +144,15 @@ def check_mesh(n_cells: int, cfl: float) -> None:
         raise ValueError(f"need at least one cell, got {n_cells}")
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"CFL must lie in (0, 1], got {cfl}")
+
+
+def check_stop(t_stop: float | None, steady_tol: float | None, t_max: float) -> None:
+    """The checks both solvers' configs make on their stop rule: t_stop and
+    steady_tol, when given, and t_max positive and finite, so that a run
+    takes at least one step."""
+    for name, value in (("t_stop", t_stop), ("steady_tol", steady_tol), ("t_max", t_max)):
+        if value is not None and not 0.0 < value < math.inf:    # NaN fails the test
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 STEADY_INTERVAL = 1.0    # time between the density checkpoints of a steady search

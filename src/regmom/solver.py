@@ -49,8 +49,9 @@ value per cell or face.  One time step is a Lie splitting of three substeps:
 
 The time step is dt = CFL * dx / max wavespeed.  A step makes two projection
 calls, one flux call and one tridiagonal solve, and allocates no
-coefficient-sized array: the buffers live on the state (_Scratch), which
-``make_state`` builds with it.
+coefficient-sized array: the buffers, and the two projections with every
+view they read and write, live on the state (_Scratch), which ``make_state``
+builds with it.
 The step tests positivity once, after the conserved recovery of (a): a
 non-positive or NaN density or temperature raises SolverBreakdown with the
 offending cell and time; no limiter masks it.  A non-finite top-grade
@@ -76,9 +77,10 @@ from .indices import AxisymmetricLayout, lead
 from .indices import pad_zero  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 from .closure import TopOrderClosure
 from .scenarios import (Scenario, SolverBreakdown, check_mesh, check_positive,
-                        far_field_frames, integrate, sample)
-from .state import (conserved_from_coeffs, enforce_constraints, macro_from_conserved,
-                    project_coeffs, sigma11_q1)
+                        check_stop, far_field_frames, integrate, sample)
+from .state import (Projection, conserved_from_coeffs, enforce_constraints,
+                    macro_from_conserved, sigma11_q1)
+from .state import project_coeffs  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 
 
 @dataclass
@@ -97,6 +99,7 @@ class SolverConfig:
         if self.order < 3:
             raise ValueError(f"moment order must be >= 3, got {self.order}")
         check_mesh(self.n_cells, self.cfl)
+        check_stop(self.t_stop, self.steady_tol, self.t_max)
         if self.closure not in ("linear", "nonlinear"):
             raise ValueError(f"unknown closure {self.closure!r}")
 
@@ -130,12 +133,14 @@ class _Scratch:
     The transport reads each face's two sides from shifted windows of it and
     the regularization its face values.
 
-    Three buffers are the input, output and work of both projection calls:
-    first the two sides of each face, then each cell with its left and right
-    face flux.  Between the calls the input buffer holds the projected sides
-    side-first and the work buffer the LLF's side mean and jump; after the
-    second call the input buffer holds its output row-first, and the work
-    buffer is free for the regularization's face averages.  So every large
+    Three buffers are the input, output and work of both projections, each
+    a state.Projection built here over them with all its views: first the
+    two sides of each face (``project_sides``), then each cell with its left
+    and right face flux (``project_rows``).  Between the calls the input
+    buffer holds the projected sides side-first and the work buffer the
+    LLF's side mean and jump; after the second call the input buffer holds
+    its output row-first, and the work buffer is free for the
+    regularization's face averages.  So every large
     ufunc runs on contiguous arrays: numpy (2.4) passes a strided operand
     through its buffered iterator, with up to 192 KB of buffers per call and
     several times the cost per value.  Beside these: the face flux and the
@@ -156,6 +161,8 @@ class _Scratch:
         self.mean_jump = view(work, 2, *layout.shape, n + 1)
         self.rows, self.new, self.rows_work = (view(b, *rows_shape) for b in (inp, out, work))
         self.rows_first = view(inp, 3, *layout.shape, n)
+        self.project_sides = Projection(layout, self.sides, self.g_lr, self.sides_work)
+        self.project_rows = Projection(layout, self.rows, self.new, self.rows_work)
         self.phi = np.empty(layout.shape + (n + 1,))
         self.frames = np.empty((2, 3, n))       # (u_1, theta) of the rows
         self.coeffs_e = np.zeros(layout.shape + (n + 2,))
@@ -359,13 +366,13 @@ def _face_fluxes(lay: AxisymmetricLayout, scr: _Scratch):
     arithmetic mean of its sides' frames, and those frames (2, n+1): u_1 and
     theta.  The sides are windows of the scratch's ghost-extended cells,
     which ``extend`` has filled; both sides of all faces go through one
-    projection call."""
+    call of the scratch's side projection."""
     sides, side_frames = scr.sides, scr.frame_windows
     np.copyto(sides, scr.side_windows)
     face_frames = 0.5 * (side_frames[:, 0] + side_frames[:, 1])
     u_f, th_f = face_frames
     shift = face_frames[:, None] - side_frames
-    g_lr = project_coeffs(lay, sides, shift[0], shift[1], out=scr.g_lr, work=scr.sides_work)
+    g_lr = scr.project_sides(shift[0], shift[1])
     # the flux is linear in g: F of the side mean, less the LLF dissipation,
     # whose wavespeed bound is the extreme characteristic speed of the frozen
     # interface-frame system; the sides are copied side-first so that the
@@ -440,8 +447,7 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
 
     # all three rows re-expanded in the new frame by one call, and the cell
     # updated there
-    new = project_coeffs(lay, rows, u1_new - frames[0], th_new - frames[1],
-                         out=scr.new, work=scr.rows_work)
+    new = scr.project_rows(u1_new - frames[0], th_new - frames[1])
     cell, left, right = scr.rows_first
     np.copyto(scr.rows_first, new.transpose(2, 0, 1, 3))
     div = np.subtract(right, left, out=right)

@@ -14,10 +14,11 @@ sum_d f_{2e_d} = 0 whenever (u_1, theta) match the conserved moments.
 Nothing here checks positivity: ``solver.step`` tests rho > 0 and theta > 0
 once, after ``macro_from_conserved``.
 
-``project_coeffs`` computes only the live entries a + 2k <= M and returns a
-zero corner for any input; it writes into caller-owned ``out`` and ``work``
-buffers, which is how a solver step avoids allocating coefficient-sized
-arrays.
+A ``Projection`` re-expands coefficients in a shifted frame.  It computes
+only the live entries a + 2k <= M, returns a zero corner for any input, and
+works in caller-owned buffers over which it builds all its views once: a
+solver state owns two, so that a step neither allocates coefficient-sized
+arrays nor rebuilds views.  ``project_coeffs`` builds one and calls it.
 """
 from __future__ import annotations
 
@@ -49,67 +50,94 @@ def macro_from_conserved(rho, m1, energy, dim: int):
     return m1 / rho, 2.0 * internal / (dim * rho)
 
 
-def project_coeffs(layout: AxisymmetricLayout, g: np.ndarray, du1, dtheta,
-                   out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
-    """Re-expand coefficients g (M+1, K, ...) in the frame shifted by (du1, dtheta).
+class Projection:
+    """The re-expansion of ``project_coeffs``, over fixed caller-owned buffers.
 
-    Holding the distribution fixed while the frame moves gives df/ds = A f
-    with A = -du1 S_a - (dtheta/2)(S_a^2 + S_k), S_a and S_k the unit shifts
-    in a and k.  The parts commute, so exp(A) is the series sum_m h_m S_a^m of
-    exp(-du1 z - dtheta z^2 / 2), with (m+1) h_{m+1} = -du1 h_m - dtheta h_{m-1},
-    then sum_l (-dtheta/2)^l / l! S_k^l.  Both raise the grade, so they stop at
-    the layout order; velocity moments of order <= M are preserved exactly.
+    Holding the distribution fixed while the frame moves by (du1, dtheta)
+    gives df/ds = A f with A = -du1 S_a - (dtheta/2)(S_a^2 + S_k), S_a and S_k
+    the unit shifts in a and k.  The parts commute, so exp(A) is the series
+    sum_m h_m S_a^m of exp(-du1 z - dtheta z^2 / 2), with
+    (m+1) h_{m+1} = -du1 h_m - dtheta h_{m-1}, then
+    sum_l (-dtheta/2)^l / l! S_k^l.  Both raise the grade, so they stop at the
+    layout order; velocity moments of order <= M are preserved exactly.
 
     Only the live triangle a + 2k <= M is computed, one (a, k) entry at a
-    time: each entry's batch values are one contiguous run, which numpy
-    passes through its unbuffered loop (a strided slice across entries goes
-    through the buffered iterator, at several times the cost per value).
-    Entry (a, k) sums its a-series terms in the order m = 1, 2, ..., and the
-    k-series runs in place from the highest k down, so each entry still reads
-    its lower neighbours' a-series values.  The live entries depend on g's
-    live entries alone, and the corner a + 2k > M is zero for any g.
-    ``out`` (C-contiguous, must not alias g) and ``work`` are arrays shaped
-    like g, allocated when omitted; ``work`` holds the series coefficients.
+    time: each entry's batch values are one contiguous run of a C-contiguous
+    buffer, which numpy passes through its unbuffered loop (a strided slice
+    across entries goes through the buffered iterator, at several times the
+    cost per value).  Entry (a, k) sums its a-series terms in the order
+    m = 1, 2, ..., and the k-series runs in place from the highest k down, so
+    each entry still reads its lower neighbours' a-series values.  The live
+    entries depend on g's live entries alone, and the corner a + 2k > M is
+    zero for any g.
+
+    g, out and work are arrays of one shape (M+1, K, ...), batch axes last;
+    out must not alias g, and work holds the series coefficients.  Every view
+    the series read and write (the series rows, each term's accumulator,
+    coefficient and source, the corner) is built here, once; a call refills
+    them from whatever g holds then and returns out.
     """
-    order, n_k = layout.order, layout.shape[1]
-    batch = g.shape[2:]
-    neg_du1 = np.negative(du1, out=np.empty(batch)).reshape(-1)
-    dth = np.empty(batch)
-    dth[...] = dtheta
-    dtheta = dth.reshape(-1)
+
+    def __init__(self, layout: AxisymmetricLayout, g: np.ndarray, out: np.ndarray,
+                 work: np.ndarray):
+        if not g.shape == out.shape == work.shape:
+            raise ValueError(f"g, out and work must share one shape, got "
+                             f"{g.shape}, {out.shape} and {work.shape}")
+        order, n_k = layout.order, layout.shape[1]
+        self.g, self.out = g, out
+        rows = [work[r // n_k, r % n_k, ...] for r in range(order + 1)]
+        self.h, self.prod = rows[:order], rows[order]    # h[m-1] holds h_m
+        self.c = rows[:n_k - 1]                          # c[l-1]: (-dtheta/2)^l / l!
+        self.dtheta = np.empty(g.shape[2:])
+        src, dst = ([[x[a, k, ...] for k in range(n_k)] for a in range(order + 1)]
+                    for x in (g, out))
+        self.a_terms = [(dst[a][k], self.h[m - 1], src[a - m][k])
+                        for a in range(1, order + 1)
+                        for k in range(min(n_k, (order - a) // 2 + 1))
+                        for m in range(1, a + 1)]
+        self.k_terms = [(dst[a][k], self.c[l - 1], dst[a][k - l])
+                        for a in range(order - 1 if n_k > 1 else 0)
+                        for k in range((order - a) // 2, 0, -1)
+                        for l in range(1, k + 1)]
+        self.corner = [out[layout.top_a[k] + 1:, k] for k in range(1, n_k)]
+
+    def __call__(self, du1, dtheta) -> np.ndarray:
+        """out = g re-expanded in the frame shifted by (du1, dtheta), each
+        shaped like (or broadcast to) the batch axes."""
+        mul, add, sub, div = np.multiply, np.add, np.subtract, np.true_divide
+        h, prod, c, dth = self.h, self.prod, self.c, self.dtheta
+        neg_du1 = np.negative(du1, h[0])                 # h_1 = -du1
+        dth[...] = dtheta
+        np.copyto(self.out, self.g)
+        for m in range(1, len(h)):
+            mul(neg_du1, h[m - 1], h[m])
+            if m == 1:                                   # h_0 = 1
+                sub(h[m], dth, h[m])
+            else:
+                sub(h[m], mul(dth, h[m - 2], prod), h[m])
+            div(h[m], m + 1, h[m])
+        for acc, hm, src in self.a_terms:
+            add(acc, mul(hm, src, prod), acc)
+        if c:
+            mul(-0.5, dth, c[0])
+            for l in range(2, len(c) + 1):
+                mul(c[l - 2], c[0], c[l - 1])
+                div(c[l - 1], l, c[l - 1])
+            for acc, cl, src in self.k_terms:
+                add(acc, mul(cl, src, prod), acc)
+        for corner in self.corner:
+            corner.fill(0.0)
+        return self.out
+
+
+def project_coeffs(layout: AxisymmetricLayout, g: np.ndarray, du1, dtheta,
+                   out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """Re-expand coefficients g (M+1, K, ...) in the frame shifted by (du1,
+    dtheta): one ``Projection`` over g, ``out`` (must not alias g) and
+    ``work``, arrays shaped like g that are allocated when omitted."""
     out = np.empty(g.shape) if out is None else out
-    if not out.flags.c_contiguous:
-        raise ValueError("project_coeffs needs a C-contiguous out")
-    np.copyto(out, g)
-    src = g.reshape(order + 1, n_k, -1)
-    dst = out.reshape(src.shape)
-    rows = (np.empty(g.shape) if work is None else work).reshape(-1, src.shape[-1])
-    h, prod = rows[:order], rows[order]      # h[m-1] holds h_m; prod one product
-    h[:1] = neg_du1
-    for m in range(1, order):
-        np.multiply(neg_du1, h[m - 1], out=h[m])
-        if m == 1:                           # h_0 = 1
-            np.subtract(h[m], dtheta, out=h[m])
-        else:
-            np.subtract(h[m], np.multiply(dtheta, h[m - 2], out=prod), out=h[m])
-        h[m] /= m + 1
-    for a in range(1, order + 1):
-        for k in range(min(n_k, (order - a) // 2 + 1)):
-            acc = dst[a, k]
-            for m in range(1, a + 1):
-                acc += np.multiply(h[m - 1], src[a - m, k], out=prod)
-    if n_k > 1:
-        c = rows[:n_k - 1]                   # c[l-1] holds (-dtheta/2)^l / l!
-        np.multiply(-0.5, dtheta, out=c[0])
-        for l in range(2, n_k):
-            np.multiply(c[l - 2], c[0], out=c[l - 1])
-            c[l - 1] /= l
-        for a in range(order - 1):
-            for k in range((order - a) // 2, 0, -1):
-                acc = dst[a, k]
-                for l in range(1, k + 1):
-                    acc += np.multiply(c[l - 1], dst[a, k - l], out=prod)
-    return layout.zero_corner(out)
+    work = np.empty(g.shape) if work is None else work
+    return Projection(layout, g, out, work)(du1, dtheta)
 
 
 def _trace(layout: AxisymmetricLayout, g: np.ndarray) -> np.ndarray:

@@ -140,6 +140,24 @@ def test_cli_compare_file_without_data_rows_exit_code(text, tmp_path, capsys):
         assert "bad.csv has no data rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, what", [("1,1,5", "3 values under 2 column names"),
+                                       ("1", "1 values under 2 column names"),
+                                       ("1,abc", "could not convert string to float")],
+                         ids=["long", "short", "not-a-number"])
+def test_cli_compare_malformed_row_exit_code(row, what, tmp_path, capsys):
+    # a row is read whole or not at all: no extra value dropped, no numpy
+    # message that names neither the file nor the row
+    bad, ok = tmp_path / "bad.csv", tmp_path / "ok.csv"
+    bad.write_text(f"x,rho\n0,1\n{row}\n2,1\n", encoding="ascii")
+    write_columns(ok, {"x": np.arange(4.0), "rho": np.ones(4)})
+    with pytest.raises(ValueError, match=f"bad.csv, line 3: {what}"):
+        read_csv(bad)
+    for files in ([bad, ok], [ok, bad]):
+        assert main(["compare", *map(str, files)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{bad}, line 3: {what}" in captured.err
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--bogus-flag"])
@@ -451,6 +469,10 @@ def _cli_warnings_as_errors(argv, tmp_path):
     ["make-ref", "--kn", "-0.5"],
     ["run", "--scenario", "shock-structure", "--mach", "2", "--omega", "3.5"],
     ["make-ref", "--scenario", "shock-structure", "--mach", "2", "--omega", "nan"],
+    ["run", "--scenario", "shock-tube", "--omega", "3.5", "--cells", "8"],
+    ["make-ref", "--omega", "0.9", "--cells", "8"],
+    ["run", "--scenario", "shock-structure", "--mach", "2", "--tau", "kn-over-rho",
+     "--omega", "0.9"],
     ["run", "--kn", "inf"],
     ["make-ref", "--mach", "2"],
     ["make-ref", "--nv", "2"],
@@ -473,6 +495,23 @@ def test_cli_rejects_unusable_settings_before_any_step(argv, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert not list(tmp_path.rglob("*"))
+
+
+def test_cli_omega_reaches_the_vhs_model_alone(tmp_path, capsys):
+    # --omega defaults to the scenario's own exponent and is accepted only
+    # where a VHS relaxation time reads it, as a flag or a config key
+    args = ["run", "--scenario", "shock-tube", "--cells", "8"]
+    assert main([*args, "--tau", "vhs", "--omega", "0.9", "--out", str(tmp_path / "a")]) == 0
+    assert main([*args, "--tau", "vhs", "--out", str(tmp_path / "b")]) == 0
+    records = [json.loads((tmp_path / d / "summary.json").read_text()) for d in "ab"]
+    assert [(r["scenario"]["tau"], r["scenario"]["omega"]) for r in records] == [
+        ("vhs", 0.9), ("vhs", 0.72)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("omega = 0.9\n")
+    capsys.readouterr()
+    assert main([*args, "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err.startswith("error: --omega 0.9 ")
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("argv", [

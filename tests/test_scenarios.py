@@ -85,6 +85,17 @@ def test_scenario_rejects_nan_or_negative_kn(kn):
         shock_structure(2.0, kn=kn)
 
 
+@pytest.mark.parametrize("bounds", [dict(x_lo=1.5, x_hi=-1.0), dict(x_hi=-1.0),
+                                    dict(x_lo=math.nan), dict(x_hi=math.nan),
+                                    dict(x_lo=-math.inf), dict(x_hi=math.inf)],
+                         ids=["reversed", "empty", "nan-lo", "nan-hi", "inf-lo", "inf-hi"])
+def test_scenario_rejects_a_domain_without_finite_ordered_bounds(bounds):
+    # a negative dx runs time backwards, a NaN one breaks down at t = 0 and an
+    # infinite one stops after a step: none is a mesh
+    with pytest.raises(ValueError, match="x_lo < x_hi"):
+        replace(shock_tube(kn=0.5), **bounds)
+
+
 def test_scenario_accepts_kn_zero_and_infinite():
     assert shock_tube(kn=0.0).kn == 0.0
     assert shock_tube(kn=math.inf).kn == math.inf    # the DVM's free flight

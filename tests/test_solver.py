@@ -19,7 +19,7 @@ from regmom.scenarios import TauModel, shock_structure, shock_tube
 from regmom.solver import (SimState, SolverBreakdown, SolverConfig,
                            flux_coefficients, make_state, run, step, _regularize,
                            _solve_banded_tridiag, _solve_cyclic_tridiag)
-from regmom.state import enforce_constraints
+from regmom.state import Projection, enforce_constraints
 
 from oracles import (MacroState, _extend, conserved_totals, constraint_residual,
                      expand_full, periodic_scenario, raw_moment, three_projection_step)
@@ -291,27 +291,32 @@ def test_step_matches_three_projection_oracle(boundary, closure, regime):
 @pytest.mark.parametrize("scenario", ["tube-nonlinear", "structure-linear", "periodic",
                                       "tube-nonstiff"])
 def test_step_makes_two_projections_and_one_flux_call(scenario, monkeypatch):
-    # counted at the regmom.solver names, which the benchmark's tracer wraps;
-    # the periodic ring's cyclic solve is one banded solve too, and a step
-    # whose diffusion is not stiff solves like any other
+    # the projections are counted at Projection.__call__: the state builds
+    # its two Projections with itself, and a step calls each once rather than
+    # project_coeffs; the flux and the solve are counted at the regmom.solver
+    # names, which the benchmark's tracer wraps.  The periodic ring's cyclic
+    # solve is one banded solve too, and a step whose diffusion is not stiff
+    # solves like any other
     sc, closure, cells = {"tube-nonlinear": (shock_tube(kn=0.5), "nonlinear", 24),
                           "structure-linear": (shock_structure(3.0), "linear", 24),
                           "periodic": (periodic_scenario(), "linear", 24),
                           "tube-nonstiff": (shock_tube(kn=0.01), "linear", 40)}[scenario]
     cfg = SolverConfig.from_scenario(sc, order=4, n_cells=cells, closure=closure)
     state = make_state(sc, cfg)
-    calls = {"project_coeffs": 0, "flux_coefficients": 0, "_solve_banded_tridiag": 0}
-    for name in calls:
-        inner = getattr(solver_module, name)
+    calls = {"Projection": 0, "flux_coefficients": 0, "_solve_banded_tridiag": 0}
+    for owner, name, key in ((Projection, "__call__", "Projection"),
+                             (solver_module, "flux_coefficients", "flux_coefficients"),
+                             (solver_module, "_solve_banded_tridiag", "_solve_banded_tridiag")):
+        inner = getattr(owner, name)
 
-        def counted(*args, _inner=inner, _name=name, **kwargs):
-            calls[_name] += 1
+        def counted(*args, _inner=inner, _key=key, **kwargs):
+            calls[_key] += 1
             return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(solver_module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     for n in (1, 2):
         step(state, cfg)
-        assert calls == {"project_coeffs": 2 * n, "flux_coefficients": n,
+        assert calls == {"Projection": 2 * n, "flux_coefficients": n,
                          "_solve_banded_tridiag": n}
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from regmom.indices import AxisymmetricLayout, lead
 from regmom.iteration import _sigma_q1
-from regmom.state import (conserved_from_coeffs, enforce_constraints, macro_from_conserved,
-                          project_coeffs, sigma11_q1)
+from regmom.state import (Projection, conserved_from_coeffs, enforce_constraints,
+                          macro_from_conserved, project_coeffs, sigma11_q1)
 
 import oracles
 from oracles import (MacroState, MomentLayout, coeff_by_projection, constraint_residual,
@@ -290,6 +290,24 @@ def test_projection_contract(order, dim):
         got = project_coeffs(lay, noisy, du1, dth, out=out, work=work)
         assert got[live].tobytes() == ref[live].tobytes()
         assert np.all(got[~live] == 0.0)
+
+
+@pytest.mark.parametrize("order", range(3, 10))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_projection_built_once_serves_every_call(order, dim):
+    # a Projection's views are built over its buffers once: refilling g and
+    # calling again with new shifts gives a fresh project_coeffs, byte for
+    # byte, whatever the buffers held from the call before
+    lay = AxisymmetricLayout(order, dim)
+    rng = np.random.default_rng(10 * order + dim)
+    shape = lay.shape + (2, 5)
+    g, out, work = np.empty(shape), np.full(shape, np.nan), np.full(shape, np.nan)
+    project = Projection(lay, g, out, work)
+    for _ in range(3):
+        g[...] = rng.normal(size=shape)
+        du1, dth = 0.4 * rng.normal(size=shape[2:]), 0.3 * rng.normal(size=shape[2:])
+        assert project(du1, dth) is out
+        assert out.tobytes() == project_coeffs(lay, g, du1, dth).tobytes()
 
 
 def test_project_then_conserved_frame_restores_constraints():
