@@ -33,17 +33,33 @@ def _scenario_from_args(args) -> scenarios.Scenario:
     return scenario
 
 
+def _setup(scenario: scenarios.Scenario, mach: float | None, cfg) -> dict:
+    """The ``scenario`` and ``config`` entries of a run record."""
+    physics = {"name": scenario.name, "dim": scenario.dim,
+               "kn": "inf" if scenario.kn == math.inf else scenario.kn, "mach": mach,
+               "tau": scenario.tau_model.kind, "omega": scenario.tau_model.omega}
+    return {"scenario": physics, "config": asdict(cfg)}
+
+
 def _write_record(path: Path, scenario: scenarios.Scenario, mach: float | None, cfg,
                   state, wall_time_s: float, breakdown: str | None = None, **extra):
     """The run record of `run` and `make-ref`, as strict JSON: the scenario and
     config that ran, what the run did, then the command's own ``extra`` fields."""
-    physics = {"name": scenario.name, "dim": scenario.dim,
-               "kn": "inf" if scenario.kn == math.inf else scenario.kn, "mach": mach,
-               "tau": scenario.tau_model.kind, "omega": scenario.tau_model.omega}
-    record = {"scenario": physics, "config": asdict(cfg), "breakdown": breakdown,
+    record = {**_setup(scenario, mach, cfg), "breakdown": breakdown,
               "t": state.t, "steps": state.steps, "residual": state.residual,
               "converged": state.converged, "wall_time_s": wall_time_s, **extra}
     path.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
+
+
+def _check_cached(record_path: Path, record: dict, setup: dict) -> None:
+    """ValueError at the first entry of ``setup`` that a cached reference's record lacks."""
+    for part, want in setup.items():
+        have = record.get(part, {})
+        for key in {**want, **have}:
+            if (key in have, have.get(key)) != (key in want, want.get(key)):
+                raise ValueError(f"{record_path} holds a reference made with {part} {key} "
+                                 f"= {json.dumps(have.get(key))}, not "
+                                 f"{json.dumps(want.get(key))}; pass --force to remake it")
 
 
 def parse_config(path) -> dict[str, str]:
@@ -131,10 +147,13 @@ def cmd_make_ref(args) -> int:
     path = refdir / f"dvm_{tag}.csv"
     record_path = path.with_suffix(".json")
     if path.exists() and not args.force:
+        record = json.loads(record_path.read_text()) if record_path.exists() else None
+        if record is not None:
+            _check_cached(record_path, record, _setup(scenario, args.mach, cfg))
         print(f"cached: {path}")
-        if not record_path.exists():
+        if record is None:
             print(f"no run record: {record_path}", file=sys.stderr)
-        elif not (record := json.loads(record_path.read_text()))["converged"]:
+        elif not record["converged"]:
             _warn_not_converged(record["residual"], record["config"]["steady_tol"],
                                 record["t"])
         return 0
@@ -145,7 +164,7 @@ def cmd_make_ref(args) -> int:
         _warn_not_converged(state.residual, cfg.steady_tol, state.t)
     refdir.mkdir(parents=True, exist_ok=True)
     output.write_columns(path, dvm.dvm_moments(state, grid))
-    _write_record(record_path, scenario, args.mach, cfg, state, wall, blocks=state.blocks)
+    _write_record(record_path, scenario, args.mach, cfg, state, wall, blocks=len(state.blocks))
     print(f"wrote {path} (t = {state.t:.6g}, {state.steps} steps)")
     return 0
 

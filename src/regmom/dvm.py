@@ -22,26 +22,26 @@ conservative to roundoff.  Relaxation with e = exp(-dt/tau) is
 with the weight 1 - e folded into the cell's (a, b, c).
 
 A far-field state carries the discrete Maxwellians of its two far fields as
-ghost rows, made by ``make_dvm_state``; a periodic one has none.  A step
-splits the cells into contiguous blocks, one per CPU the process may use,
-with no block smaller than MIN_BLOCK_CELL_NODES cell·nodes.  Transport and
-relaxation act on each cell alone except for the face difference at a block
-edge, so each block reads a copy of the pre-step row on either side of it (a
-ghost row at a mesh end, the other end's row on a periodic mesh) and runs on
-its own thread.  The output does not depend on the number of blocks, and so
-not on the CPU count: every per-row product rounds the same way for any
-block of two or more rows.
+ghost rows, made by ``make_dvm_state``; a periodic one has none.  A state
+splits its cells into contiguous blocks, built with it, one per CPU the
+process may use, with no block smaller than MIN_BLOCK_CELL_NODES cell·nodes.
+Transport and relaxation act on each cell alone except for the face
+difference at a block edge, so each block reads a copy of the pre-step row
+on either side of it (a ghost row at a mesh end, the other end's row on a
+periodic mesh) and runs on its own thread.  The output does not depend on
+the number of blocks, and so not on the CPU count: every per-row product
+rounds the same way for any block of two or more rows.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenarios import (Scenario, SolverBreakdown, check_mesh, check_positive,
-                        check_stop, far_field_frames, integrate, sample)
+from .scenarios import (RunConfig, Scenario, SolverBreakdown, check_positive,
+                        far_field_frames, integrate, sample)
 
 
 @dataclass(frozen=True)
@@ -60,35 +60,26 @@ class VelocityGrid:
         return cls(v=v, dv=v[1] - v[0], v_max=v_max, powers=powers)
 
 
-@dataclass
-class DVMConfig:
+@dataclass(kw_only=True)
+class DVMConfig(RunConfig):
     """Numerical parameters of a reference run; the physics is the Scenario's."""
 
-    n_cells: int
     n_v: int
     v_max: float
-    cfl: float = 0.95
-    t_stop: float | None = None
-    steady_tol: float | None = None
-    t_max: float = 400.0
 
     def __post_init__(self):
-        check_mesh(self.n_cells, self.cfl)
-        check_stop(self.t_stop, self.steady_tol, self.t_max)
+        super().__post_init__()
         if self.n_v < 3:    # the three-moment correction is singular on fewer
             raise ValueError(f"need at least three velocity nodes, got {self.n_v}")
         if not 0.0 < self.v_max < math.inf:     # NaN fails the test
             raise ValueError(f"v_max must be positive and finite, got {self.v_max}")
 
     @classmethod
-    def from_scenario(cls, scenario: Scenario, n_cells: int | None = None, n_v: int = 200,
-                      v_max: float | None = None, **overrides) -> "DVMConfig":
-        kw = dict(n_cells=scenario.default_cells if n_cells is None else n_cells,
-                  n_v=n_v, v_max=suggested_v_max(scenario) if v_max is None else v_max,
-                  t_stop=scenario.t_stop, steady_tol=scenario.steady_tol,
-                  t_max=scenario.t_max)
-        kw.update(overrides)
-        return cls(**kw)
+    def from_scenario(cls, scenario: Scenario, *, n_v: int = 200, v_max: float | None = None,
+                      **fields) -> "DVMConfig":
+        """RunConfig's, with 200 velocity nodes and ``suggested_v_max`` by default."""
+        v_max = suggested_v_max(scenario) if v_max is None else v_max
+        return super().from_scenario(scenario, n_v=n_v, v_max=v_max, **fields)
 
 
 def suggested_v_max(scenario: Scenario) -> float:
@@ -112,15 +103,12 @@ class DVMState:
     steps: int = 0
     residual: float | None = None   # measured only by a steady search
     converged: bool = False
-    blocks: int = 1                 # cell blocks of the last step
+    blocks: list[_Scratch] = field(init=False, repr=False)    # a step's, from ``_blocks``
 
     def __post_init__(self):
         if (self.ghosts is None) != (self.scenario.far_fields is None):
             raise ValueError("a far-field state needs ghost rows; a periodic one has none")
-
-    @property
-    def dim(self) -> int:
-        return self.scenario.dim
+        self.blocks = _blocks(*self.g.shape)
 
 
 # Relative tolerance on the moments a corrected Maxwellian must reproduce.
@@ -209,15 +197,19 @@ def _conserved(g, h, dim: int, grid: VelocityGrid):
 
 
 def dvm_moments(state: DVMState, grid: VelocityGrid) -> dict[str, np.ndarray]:
-    """Macroscopic fields by quadrature: rho, u1, theta, sigma11, q1."""
-    v, dv = grid.v, grid.dv
-    g = state.g
-    rho, u1, theta = _conserved(g, state.h, state.dim, grid)
-    c = v[None, :] - u1[:, None]
-    sigma11 = (g * c**2).sum(axis=1) * dv - rho * theta
-    q1 = 0.5 * (g * c**3).sum(axis=1) * dv
-    if state.h is not None:
-        q1 = q1 + 0.5 * (state.h * c).sum(axis=1) * dv
+    """Macroscopic fields by quadrature: rho, u1, theta, sigma11, q1.  The sums
+    over the nodes are formed block by block in the blocks' step buffers."""
+    g, h, dv = state.g, state.h, grid.dv
+    rho, u1, theta = _conserved(g, h, state.scenario.dim, grid)
+    sigma11, q1 = np.empty_like(rho), np.empty_like(rho)
+    for blk in state.blocks:
+        r, c, work = slice(blk.start, blk.stop), blk.diff[:-1], blk.gm
+        np.subtract(grid.v, u1[r, None], out=c)
+        g_c2 = np.multiply(np.square(c, out=work), g[r], out=work)
+        sigma11[r] = g_c2.sum(axis=1) * dv - rho[r] * theta[r]
+        q1[r] = 0.5 * np.multiply(np.power(c, 3, out=work), g[r], out=work).sum(axis=1) * dv
+        if h is not None:
+            q1[r] += 0.5 * np.multiply(h[r], c, out=work).sum(axis=1) * dv
     return {"x": state.x, "rho": rho, "u1": u1, "theta": theta,
             "sigma11": sigma11, "q1": q1}
 
@@ -311,7 +303,7 @@ def _advance(state: DVMState, blk: _Scratch, grid: VelocityGrid, dt: float, nu_v
     sc = state.scenario
     if not math.isfinite(sc.kn):
         return None
-    rho, u1, theta = _conserved(g, h, state.dim, grid)
+    rho, u1, theta = _conserved(g, h, state.scenario.dim, grid)
     try:
         check_positive(rho, theta, state.t, blk.start)
     except SolverBreakdown as exc:
@@ -330,7 +322,7 @@ def _advance(state: DVMState, blk: _Scratch, grid: VelocityGrid, dt: float, nu_v
     g += gm
     if h is not None:
         # h <- e h + (D - 1) theta gm, as three in-place passes
-        h_m = ((state.dim - 1) * theta)[:, None]
+        h_m = ((state.scenario.dim - 1) * theta)[:, None]
         h *= decay[:, None] / h_m
         h += gm
         h *= h_m
@@ -338,41 +330,37 @@ def _advance(state: DVMState, blk: _Scratch, grid: VelocityGrid, dt: float, nu_v
 
 
 def dvm_step(state: DVMState, cfg: DVMConfig, grid: VelocityGrid,
-             dt_limit: float | None = None,
-             scratch: list[_Scratch] | None = None, pool=None) -> float:
+             dt_limit: float | None = None, pool=None) -> float:
     """One upwind transport + relaxation step; returns dt.
 
     Past the mesh ends lie the state's ghost rows, or on a periodic state
-    the other end's rows.  The cells go in the blocks of ``scratch`` (by
-    default ``_blocks`` of the mesh).  The calling thread runs the first
-    block and ``pool``, an executor, the others; without a pool the calling
-    thread runs them all.  A breakdown names the lowest bad cell of the mesh.
+    the other end's rows.  The cells go in the state's blocks.  The calling
+    thread runs the first block and ``pool``, an executor, the others;
+    without a pool the calling thread runs them all.  A breakdown names the
+    lowest bad cell of the mesh.
     """
     dt = cfg.cfl * state.dx / grid.v_max
     if dt_limit is not None:
         dt = min(dt, dt_limit)
-    if scratch is None:
-        scratch = _blocks(*state.g.shape)
     n = state.g.shape[0]
     for j, arr in enumerate((state.g,) if state.h is None else (state.g, state.h)):
         ends = (arr[-1], arr[0]) if state.ghosts is None else state.ghosts[j]
-        for blk in scratch:
+        for blk in state.blocks:
             blk.halo[2 * j] = arr[blk.start - 1] if blk.start > 0 else ends[0]
             blk.halo[2 * j + 1] = arr[blk.stop] if blk.stop < n else ends[1]
     args = (grid, dt, grid.v * (dt / state.dx), grid.v <= 0.0)
     if pool is None:
-        failures = [_advance(state, blk, *args) for blk in scratch]
+        failures = [_advance(state, blk, *args) for blk in state.blocks]
     else:
-        futures = [pool.submit(_advance, state, blk, *args) for blk in scratch[1:]]
+        futures = [pool.submit(_advance, state, blk, *args) for blk in state.blocks[1:]]
         try:
-            first = _advance(state, scratch[0], *args)
+            first = _advance(state, state.blocks[0], *args)
         finally:    # no block may still write to the state once the step ends
             rest = [f.result() for f in futures]
         failures = [first, *rest]
     failed = [f for f in failures if f is not None]
     if failed:
         raise min(failed, key=lambda f: (f[0], f[1].cell))[1]
-    state.blocks = len(scratch)
     state.t += dt
     state.steps += 1
     return dt
@@ -382,15 +370,14 @@ def dvm_run(scenario: Scenario, cfg: DVMConfig) -> tuple[DVMState, VelocityGrid]
     """Integrate a scenario to t_stop or to a steady density profile."""
     grid = VelocityGrid.make(cfg.n_v, cfg.v_max)
     state = make_dvm_state(scenario, cfg, grid)
-    scratch = _blocks(cfg.n_cells, cfg.n_v)
     pool = None
-    if len(scratch) > 1:
+    if len(state.blocks) > 1:
         # imported here: `import regmom` need not pay for it
         from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(len(scratch) - 1, thread_name_prefix="regmom-dvm")
+        pool = ThreadPoolExecutor(len(state.blocks) - 1, thread_name_prefix="regmom-dvm")
     try:
         integrate(state, cfg, lambda limit: dvm_step(state, cfg, grid, dt_limit=limit,
-                                                     scratch=scratch, pool=pool),
+                                                     pool=pool),
                   lambda: state.g.sum(axis=1) * grid.dv)
     finally:
         if pool is not None:

@@ -119,8 +119,8 @@ def compare_profiles(xa, ya, xb, yb, column: str = "value",
     half-level crossing sits at the origin before comparing (steady shocks are
     translation-invariant).  Both read the level from the end values, and
     raise ValueError for a profile whose two end values are equal.  A
-    non-finite x or value raises ValueError naming the profile (``names``,
-    the files of ``compare_files``) and the column.
+    non-finite or not strictly increasing x, or a non-finite value, raises
+    ValueError naming the profile (``names``, the files of ``compare_files``) and the column.
     """
     xa = np.asarray(xa, dtype=float)
     ya = np.asarray(ya, dtype=float)
@@ -131,6 +131,9 @@ def compare_profiles(xa, ya, xb, yb, column: str = "value",
             if not np.isfinite(values).all():
                 row = int(np.argmin(np.isfinite(values)))
                 raise ValueError(f"{name}: column {col!r} is not finite at row {row}")
+        if not (np.diff(x) > 0.0).all():
+            row = 1 + int(np.argmin(np.diff(x) > 0.0))
+            raise ValueError(f"{name}: column 'x' is not strictly increasing at row {row}")
     if normalize or align_center:
         for y in (ya, yb):
             if y[-1] == y[0]:

@@ -12,9 +12,9 @@ Two built-in Riemann problems for a monatomic gas of D velocity dimensions
 A scenario speaks (rho, u_1, theta), and its far fields close the mesh ends;
 a scenario without them is periodic.  Both solvers read a scenario onto their
 mesh through ``sample`` and take its far fields from ``far_field_frames``,
-which reject a gas neither solver represents.  For both, ``integrate`` applies
-a scenario's stop rule and ``check_positive`` tests a step's state; either
-step raises SolverBreakdown.
+which reject a gas neither solver represents.  For both, a ``RunConfig`` holds
+the mesh, CFL number and stop rule, ``integrate`` applies that stop rule and
+``check_positive`` tests a step's state; either step raises SolverBreakdown.
 """
 from __future__ import annotations
 
@@ -138,27 +138,38 @@ def check_positive(rho, theta, time: float, first_cell: int = 0) -> None:
                               "transport", first_cell + int(np.argmax(bad)), time)
 
 
-def check_mesh(n_cells: int, cfl: float) -> None:
-    """The checks both solvers' configs make on their mesh and CFL number."""
-    if n_cells < 1:
-        raise ValueError(f"need at least one cell, got {n_cells}")
-    if not 0.0 < cfl <= 1.0:
-        raise ValueError(f"CFL must lie in (0, 1], got {cfl}")
+@dataclass(kw_only=True)
+class RunConfig:
+    """Mesh, CFL number and stop rule of a run; each solver's config adds its numerics."""
 
+    n_cells: int
+    cfl: float = 0.95
+    t_stop: float | None = None
+    steady_tol: float | None = None     # L1 density residual per unit time
+    t_max: float = 400.0
 
-def check_stop(t_stop: float | None, steady_tol: float | None, t_max: float) -> None:
-    """The checks both solvers' configs make on their stop rule: t_stop and
-    steady_tol, when given, and t_max positive and finite, so that a run
-    takes at least one step."""
-    for name, value in (("t_stop", t_stop), ("steady_tol", steady_tol), ("t_max", t_max)):
-        if value is not None and not 0.0 < value < math.inf:    # NaN fails the test
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    def __post_init__(self):
+        if self.n_cells < 1:
+            raise ValueError(f"need at least one cell, got {self.n_cells}")
+        if not 0.0 < self.cfl <= 1.0:
+            raise ValueError(f"CFL must lie in (0, 1], got {self.cfl}")
+        for name in ("t_stop", "steady_tol", "t_max"):     # so that a run takes a step
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:    # NaN fails the test
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+
+    @classmethod
+    def from_scenario(cls, scenario: Scenario, *, n_cells: int | None = None, **fields):
+        """The scenario's default mesh and stop rule, where ``fields`` give none."""
+        return cls(n_cells=scenario.default_cells if n_cells is None else n_cells,
+                   **{"t_stop": scenario.t_stop, "steady_tol": scenario.steady_tol,
+                      "t_max": scenario.t_max, **fields})
 
 
 STEADY_INTERVAL = 1.0    # time between the density checkpoints of a steady search
 
 
-def integrate(state, cfg, advance: Callable[[float], float],
+def integrate(state, cfg: RunConfig, advance: Callable[[float], float],
               density: Callable[[], np.ndarray]):
     """Advance ``state`` to ``cfg.t_stop``, or until its density is steady.
 
@@ -168,9 +179,9 @@ def integrate(state, cfg, advance: Callable[[float], float],
     STEADY_INTERVAL apart, falls below it; a search without t_stop that reaches
     t_max sets ``state.converged`` False.
     """
-    eps = 1e-12
     steady = cfg.steady_tol is not None
     t_end = cfg.t_stop if cfg.t_stop is not None else cfg.t_max
+    eps = 1e-12 * t_end     # relative: a run to the tiniest t_stop takes its step
     state.converged = not steady or cfg.t_stop is not None
     check_t = state.t + STEADY_INTERVAL
     prev_rho = density().copy()

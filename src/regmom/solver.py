@@ -43,9 +43,8 @@ value per cell or face.  One time step is a Lie splitting of three substeps:
       (a symmetrized placement): a trailing full decay biases the stress and
       heat flux low by dt/(2 tau) relative, which buries the O(tau^2)
       transport-limit deviation the acceptance checks measure, while the
-      bracketed form leaves only an O((dt/tau)^2) bias.  The trailing half's
-      tau is the next step's leading one (the same rho and theta), so it is
-      computed once.
+      bracketed form leaves only an O((dt/tau)^2) bias.  Each half reads tau
+      from the fields it starts from.
 
 The time step is dt = CFL * dx / max wavespeed.  A step makes two projection
 calls, one flux call and one tridiagonal solve, and allocates no
@@ -76,42 +75,26 @@ from numpy.polynomial import hermite_e
 from .indices import AxisymmetricLayout, lead
 from .indices import pad_zero  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 from .closure import TopOrderClosure
-from .scenarios import (Scenario, SolverBreakdown, check_mesh, check_positive,
-                        check_stop, far_field_frames, integrate, sample)
+from .scenarios import (RunConfig, Scenario, SolverBreakdown, check_positive,
+                        far_field_frames, integrate, sample)
 from .state import (Projection, conserved_from_coeffs, enforce_constraints,
                     macro_from_conserved, sigma11_q1)
 from .state import project_coeffs  # noqa: F401  (bench/workloads.py --trace 1 wraps this name)
 
 
-@dataclass
-class SolverConfig:
+@dataclass(kw_only=True)
+class SolverConfig(RunConfig):
     """Numerical parameters of a run; the physics is the Scenario's."""
 
     order: int
-    n_cells: int
-    cfl: float = 0.95
     closure: str = "linear"        # or "nonlinear"
-    t_stop: float | None = None
-    steady_tol: float | None = None
-    t_max: float = 400.0
 
     def __post_init__(self):
         if self.order < 3:
             raise ValueError(f"moment order must be >= 3, got {self.order}")
-        check_mesh(self.n_cells, self.cfl)
-        check_stop(self.t_stop, self.steady_tol, self.t_max)
+        super().__post_init__()
         if self.closure not in ("linear", "nonlinear"):
             raise ValueError(f"unknown closure {self.closure!r}")
-
-    @classmethod
-    def from_scenario(cls, scenario: Scenario, order: int, n_cells: int | None = None,
-                      **overrides) -> "SolverConfig":
-        kw = dict(order=order,
-                  n_cells=scenario.default_cells if n_cells is None else n_cells,
-                  t_stop=scenario.t_stop, steady_tol=scenario.steady_tol,
-                  t_max=scenario.t_max)
-        kw.update(overrides)
-        return cls(**kw)
 
 
 def hermite_roots(n: int) -> np.ndarray:
@@ -123,8 +106,8 @@ def hermite_roots(n: int) -> np.ndarray:
 
 class _Scratch:
     """What a step needs beyond the state's fields, built with the state: the
-    closure offsets of the top grade, c_{M+1}, tau carried between steps, and
-    every coefficient-sized array of a step, so that no step allocates one.
+    closure offsets of the top grade, c_{M+1} and every coefficient-sized
+    array of a step, so that no step allocates one.
 
     The mesh edges live in one ghost-extended buffer: the coefficients
     (M+1, K, n+2) and their frames (rho, u_1, theta) (3, n+2), with one
@@ -177,8 +160,6 @@ class _Scratch:
         if far is not None:
             self.frames_e[:, 0], self.frames_e[:, -1] = far
             self.coeffs_e[0, 0, 0], self.coeffs_e[0, 0, -1] = far[0][0], far[1][0]
-        # tau with the (rho, theta) arrays it was computed from
-        self.tau = (None, None, None)
 
     def extend(self, g: np.ndarray, rho: np.ndarray, u1: np.ndarray, theta: np.ndarray):
         """The cells g (M+1, K, n) and their frames with one ghost cell on
@@ -404,13 +385,9 @@ def _relax(g: np.ndarray, dt: float, tau: np.ndarray) -> None:
 
 def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> float:
     """Advance the state by one time step in place; returns dt taken."""
-    sc, lay, g = state.scenario, state.layout, state.coeffs
-    dx = state.dx
-    u1, theta = state.u[:, 0], state.theta
-    scr = state.scratch
-    rho0, theta0, tau = scr.tau
-    if rho0 is not state.rho or theta0 is not theta:   # not the last step's result
-        tau = np.asarray(sc.tau_model.tau(sc.kn, state.rho, theta), dtype=float)
+    sc, lay, g, dx = state.scenario, state.layout, state.coeffs, state.dx
+    u1, theta, scr = state.u[:, 0], state.theta, state.scratch
+    tau = np.asarray(sc.tau_model.tau(sc.kn, state.rho, theta), dtype=float)
 
     lam = np.abs(u1) + scr.c_top * np.sqrt(theta)
     state.max_speed = float(lam.max())
@@ -467,7 +444,6 @@ def step(state: SimState, cfg: SolverConfig, dt_limit: float | None = None) -> f
 
     # --- (c) trailing half of the relaxation --------------------------------
     _relax(g, 0.5 * dt, tau)
-    scr.tau = (rho_new, th_new, tau)     # the next step's leading tau
 
     state.t += dt
     state.steps += 1

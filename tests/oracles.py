@@ -559,7 +559,7 @@ def flux_form_step(state, cfg, grid, ghosts=None, dt_limit: float | None = None,
     if not periodic and ghosts is None:
         raise ValueError("far-field boundary needs ghost distributions")
     if scratch is None:
-        scratch = FluxFormScratch(state.g.shape[0], state.g.shape[1], state.dim)
+        scratch = FluxFormScratch(state.g.shape[0], state.g.shape[1], state.scenario.dim)
     (g_l, h_l), (g_r, h_r) = ghosts if ghosts is not None else ((None, None),) * 2
     v = grid.v
     state.g = _flux_transport(state.g, g_l, g_r, v, dt / state.dx, periodic, scratch)
@@ -567,13 +567,13 @@ def flux_form_step(state, cfg, grid, ghosts=None, dt_limit: float | None = None,
         state.h = _flux_transport(state.h, h_l, h_r, v, dt / state.dx, periodic, scratch)
 
     if math.isfinite(sc.kn):
-        rho, u1, theta = _conserved(state.g, state.h, state.dim, grid)
+        rho, u1, theta = _conserved(state.g, state.h, state.scenario.dim, grid)
         bad = ~(rho > 0.0) | ~(theta > 0.0)     # NaN counts as bad
         if bad.any():
             raise SolverBreakdown("non-positive or NaN density or temperature after "
                                   "transport", int(np.argmax(bad)), state.t)
         tau = np.asarray(sc.tau_model.tau(sc.kn, rho, theta))
-        gm, hm = flux_form_maxwellian(grid, rho, u1, theta, state.dim,
+        gm, hm = flux_form_maxwellian(grid, rho, u1, theta, state.scenario.dim,
                                       out_g=scratch.gm, out_h=scratch.hm)
         decay = np.exp(-dt / tau)[:, None]
         for arr, maxw in ((state.g, gm), (state.h, hm)) if state.h is not None \

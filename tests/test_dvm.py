@@ -322,12 +322,10 @@ def test_output_does_not_depend_on_block_count(case):
         with ThreadPoolExecutor(3) as pool:
             for count in (1, 2, 3, 4):
                 state = make_dvm_state(sc, cfg, grid)
-                scratch = _blocks(n, nv, count)
-                assert len(scratch) == count
+                state.blocks = _blocks(n, nv, count)
+                assert len(state.blocks) == count
                 for _ in range(50):
-                    dvm_step(state, cfg, grid, scratch=scratch,
-                             pool=pool if count > 1 else None)
-                assert state.blocks == count
+                    dvm_step(state, cfg, grid, pool=pool if count > 1 else None)
                 runs.append(state)
     finally:
         sys.setswitchinterval(interval)
@@ -337,6 +335,17 @@ def test_output_does_not_depend_on_block_count(case):
         assert np.array_equal(state.g, one.g)
         if dim > 1:
             assert np.array_equal(state.h, one.h)
+    # the moments' sums over the nodes, formed block by block in the blocks'
+    # buffers, round as the whole-array expressions do
+    mom = dvm_moments(one, grid)
+    c = grid.v - mom["u1"][:, None]
+    sigma11 = (one.g * c**2).sum(axis=1) * grid.dv - mom["rho"] * mom["theta"]
+    q1 = 0.5 * (one.g * c**3).sum(axis=1) * grid.dv
+    if dim > 1:
+        q1 = q1 + 0.5 * (one.h * c).sum(axis=1) * grid.dv
+    for state in runs:
+        mom = dvm_moments(state, grid)
+        assert np.array_equal(mom["sigma11"], sigma11) and np.array_equal(mom["q1"], q1)
 
 
 def test_default_blocks_cover_the_mesh_with_no_block_below_the_floor():
@@ -377,8 +386,9 @@ def test_breakdown_across_blocks_names_the_lowest_bad_cell(corrupt, where):
     with ThreadPoolExecutor(1) as pool:
         for count in (1, 2, 3, 4):
             state, cfg, grid = cold_and_nan(**corrupt)
+            state.blocks = _blocks(32, 40, count)
             with pytest.raises(SolverBreakdown) as err:
-                dvm_step(state, cfg, grid, scratch=_blocks(32, 40, count), pool=pool)
+                dvm_step(state, cfg, grid, pool=pool)
             assert f"cell {err.value.cell}, t = {err.value.time:g}" == where
             messages.add(str(err.value))
     assert len(messages) == 1       # the same breakdown for any block count
@@ -410,9 +420,9 @@ def test_dvm_run_stops_its_worker_threads(monkeypatch):
     sc, cfg, seen = tube_run_counting_threads(monkeypatch)
     state, _ = dvm_run(sc, cfg)
     assert threading.active_count() == before
-    assert state.blocks == len(_blocks(cfg.n_cells, cfg.n_v))
-    if state.blocks > 1:
-        assert max(seen) == before + state.blocks - 1
+    assert len(state.blocks) == len(_blocks(cfg.n_cells, cfg.n_v))
+    if len(state.blocks) > 1:
+        assert max(seen) == before + len(state.blocks) - 1
 
     sc, cfg, seen = tube_run_counting_threads(monkeypatch, poison_at=3)
     with pytest.raises(SolverBreakdown) as err:
@@ -422,21 +432,46 @@ def test_dvm_run_stops_its_worker_threads(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_blocks_are_built_once_per_run_and_never_in_a_step(monkeypatch):
+    # the state owns its blocks: dvm_run makes them once, with its state,
+    # and every step reuses them
+    built = []
+    inner = regmom.dvm._blocks
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(regmom.dvm, "_blocks", counted)
+    sc = shock_tube(kn=0.02)
+    cfg = DVMConfig.from_scenario(sc, n_cells=40, n_v=30, v_max=10.0, t_stop=0.05)
+    state, grid = dvm_run(sc, cfg)
+    assert state.steps > 1 and built == [(40, 30)]
+    built.clear()
+    state = make_dvm_state(sc, cfg, grid)
+    assert len(built) == 1
+    for _ in range(3):
+        dvm_step(state, cfg, grid)
+    assert len(built) == 1
+
+
 def test_step_allocates_no_cell_by_node_array():
     sc = shock_tube(kn=0.02)
     n, nv = 200, 100
     cfg = DVMConfig.from_scenario(sc, n_cells=n, n_v=nv, v_max=12.0)
     grid = VelocityGrid.make(nv, cfg.v_max)
     state = make_dvm_state(sc, cfg, grid)
-    scratch = _blocks(n, nv)
-    dvm_step(state, cfg, grid, scratch=scratch)
-    tracemalloc.start()
-    try:
-        dvm_step(state, cfg, grid, scratch=scratch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * nv * 8
+    dvm_step(state, cfg, grid)
+    peaks = []
+    # the moments of the state are formed in the blocks' buffers too
+    for call in (lambda: dvm_step(state, cfg, grid), lambda: dvm_moments(state, grid)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < n * nv * 8, peaks
 
 
 def test_dvm_moments_match_hermite_expansion():

@@ -158,6 +158,26 @@ def test_cli_compare_malformed_row_exit_code(row, what, tmp_path, capsys):
         assert captured.out == "" and f"{bad}, line 3: {what}" in captured.err
 
 
+@pytest.mark.parametrize("order, row", [("swapped", 5), ("reversed", 1), ("repeated", 5)])
+def test_cli_compare_rejects_an_x_that_is_not_strictly_increasing(order, row, tmp_path,
+                                                                   capsys):
+    # two swapped rows read as a nonzero L1 between identical profiles, and a
+    # reversed file as profiles that do not overlap
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    x = np.linspace(0.0, 1.0, 10)
+    write_columns(good, {"x": x, "rho": 1.0 + x**2})
+    index = {"swapped": [0, 1, 2, 3, 5, 4, 6, 7, 8, 9], "reversed": np.arange(10)[::-1],
+             "repeated": [0, 1, 2, 3, 4, 4, 6, 7, 8, 9]}[order]
+    write_columns(bad, {"x": x[index], "rho": 1.0 + x[index]**2})
+    with pytest.raises(ValueError, match=f"column 'x' is not strictly increasing at row {row}"):
+        compare_files(bad, good, "rho")
+    for files in ([good, bad], [bad, good]):
+        assert main(["compare", *map(str, files)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}: column 'x' is not strictly increasing at row {row}" in captured.err
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--bogus-flag"])
@@ -426,6 +446,30 @@ def test_cli_make_ref_caches(tmp_path):
     assert files[0].stat().st_mtime_ns == stamp
     data = read_csv(files[0])
     assert "rho" in data and data["x"].size == 64
+
+
+@pytest.mark.parametrize("flag, made, asked, key", [
+    ("--kn", "0.1234567", "0.1234568", "scenario kn"),
+    ("--cfl", "0.9", "0.9000001", "config cfl"),
+    ("--vmax", "6.5", "6.5000001", "config v_max")])
+def test_cli_make_ref_cache_hit_must_match_its_record(flag, made, asked, key, tmp_path,
+                                                      capsys):
+    # the cache file name rounds the settings to six digits, so a hit is
+    # checked against the scenario and config its run record holds
+    refdir = tmp_path / "refs"
+    args = ["make-ref", "--cells", "8", "--nv", "12", "--out", str(refdir)]
+    assert main(args + [flag, made]) == 0
+    record = next(refdir.glob("dvm_*.json"))
+    capsys.readouterr()
+    assert main(args + [flag, asked]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {record} holds a reference made with {key} = {made}, "
+                            f"not {asked}; pass --force to remake it\n")
+    assert main(args + [flag, asked, "--force"]) == 0
+    assert list(refdir.glob("dvm_*.json")) == [record]
+    assert main(args + [flag, asked]) == 0
+    assert capsys.readouterr().out.endswith(f"cached: {record.with_suffix('.csv')}\n")
 
 
 def test_cli_make_ref_cache_key_covers_dimension(tmp_path, capsys):

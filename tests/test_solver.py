@@ -356,9 +356,9 @@ def test_scratch_ghost_cells_match_extend(boundary):
     assert np.array_equal(co_e, co_ref)
 
 
-def test_step_reuses_trailing_tau_until_the_state_changes(monkeypatch):
-    # the trailing relaxation's tau is the next step's leading one; a state
-    # whose (rho, theta) arrays were replaced since gets its tau computed again
+def test_every_step_evaluates_tau_from_its_own_fields(monkeypatch):
+    # no tau is carried from one step to the next: each step reads the
+    # leading half's tau from the state it starts from
     sc = shock_tube(kn=0.5)
     cfg = SolverConfig.from_scenario(sc, order=4, n_cells=24)
     state = make_state(sc, cfg)
@@ -370,15 +370,34 @@ def test_step_reuses_trailing_tau_until_the_state_changes(monkeypatch):
         return inner(self, kn, rho, theta)
 
     monkeypatch.setattr(TauModel, "tau", counted)
+    for _ in range(3):
+        step(state, cfg)
+        assert calls == [24, 24, 25]      # leading cells, trailing cells, regularization faces
+        calls.clear()
+
+
+@pytest.mark.parametrize("edit", ["rho", "theta"])
+def test_step_after_an_in_place_edit_is_the_step_of_a_fresh_state(edit):
+    # a state edited in place between steps steps as a state made with the
+    # edited fields: a density scaled with g_00, or a temperature, which the
+    # VHS relaxation time reads
+    sc = replace(shock_tube(kn=0.5), tau_model=TauModel("vhs"))
+    cfg = SolverConfig.from_scenario(sc, order=3, n_cells=40)
+    state = make_state(sc, cfg)
     step(state, cfg)
-    assert calls == [24, 24, 25]      # leading cells, trailing cells, regularization faces
-    calls.clear()
+    if edit == "rho":
+        state.rho *= 1.5
+        state.coeffs[0, 0] *= 1.5
+    else:
+        state.theta *= 1.2
+    fresh = make_state(sc, cfg)
+    fresh.rho, fresh.theta = state.rho.copy(), state.theta.copy()
+    fresh.u[:], fresh.coeffs[:] = state.u, state.coeffs
+    fresh.t = state.t
     step(state, cfg)
-    assert calls == [24, 25]
-    calls.clear()
-    state.rho = state.rho.copy()
-    step(state, cfg)
-    assert calls == [24, 24, 25]
+    step(fresh, cfg)
+    for name in ("rho", "u", "theta", "coeffs"):
+        assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
 
 
 def test_steady_state_stop_on_uniform_state():
